@@ -6,8 +6,10 @@ polynomial over F_{p^d} is an (n+1, d) array whose row i is the coefficient
 of x^i; trailing zero rows are trimmed and the zero polynomial has 0 rows.
 
 Products pack both operands into one 1-D array with y-stride 2d-1 so a single
-np.convolve does the whole bivariate multiply exactly (coefficient sums stay
-far below 2**63), then the y-axis is folded mod m.  Everything here is exact.
+np.convolve does the whole bivariate multiply, then the y-axis is folded mod m.
+For p < 2^20 the convolution sums stay below 2**63, but folding them unreduced
+multiplies by another residue: that is exact only for p < 2^10, so for larger
+p the sums are reduced mod p before every fold.  Everything here is exact.
 """
 
 import numpy as np
@@ -44,7 +46,8 @@ class Kernel:
                 shifted[1:] = cur[:-1]
                 cur = (shifted + top * y_d) % p
         self._frob = None
-        self._frob_inv = None
+        self._frob_pows = [np.eye(d, dtype=np.int64)]
+        self._ypow = None
 
     # ---- element ops: vectors of shape (d,) ----
 
@@ -55,6 +58,9 @@ class Kernel:
             out = np.zeros(d, dtype=np.int64)
             out[: len(c)] = c
             return out % self.p
+        if self.p >= (1 << 10):
+            # pre-reduce so the fold below cannot overflow int64
+            c = c % self.p
         return (c[:d] + c[d:] @ self.red[: len(c) - d]) % self.p
 
     def e_mul(self, a, b):
@@ -81,39 +87,22 @@ class Kernel:
             if v == 0:
                 raise ZeroDivisionError("inverse of zero")
             return np.array([fp_inv(v, p)], dtype=np.int64)
-        # extended Euclid in F_p[y] against the modulus
-        r0 = [int(x) % p for x in self.modulus]
-        r1 = [int(x) % p for x in a]
-        s0, s1 = [0], [1]
-        while len(r1) > 1 or (r1 and r1[0] != 0):
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if not r1:
-                break
-            if len(r0) < len(r1):
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            q_lead = (r0[-1] * fp_inv(r1[-1], p)) % p
-            shift = len(r0) - len(r1)
-            for i, c in enumerate(r1):
-                r0[i + shift] = (r0[i + shift] - q_lead * c) % p
-            while len(s0) < shift + len(s1):
-                s0.append(0)
-            for i, c in enumerate(s1):
-                s0[i + shift] = (s0[i + shift] - q_lead * c) % p
-            while r0 and r0[-1] == 0:
-                r0.pop()
-            if len(r0) < len(r1):
-                r0, r1, s0, s1 = r1, r0, s1, s0
-        while r0 and r0[-1] == 0:
-            r0.pop()
-        if len(r0) != 1:
+        # Itoh-Tsujii: with r = 1 + p + ... + p^(d-1), the norm a^r lies in
+        # F_p and a^-1 = a^(r-1) / a^r.  beta = a^(p + p^2 + ... + p^k) is
+        # built along the binary digits of d-1: doubling k multiplies beta
+        # by its own k-th Frobenius image, and k -> k+1 takes frob(a * beta).
+        beta, k = None, 0
+        for bit in bin(self.d - 1)[2:]:
+            if k:
+                beta = self.e_mul(beta, self.e_frob(beta, k))
+                k *= 2
+            if bit == "1":
+                beta = self.e_frob(a if k == 0 else self.e_mul(a, beta))
+                k += 1
+        norm = int(self.e_mul(a, beta)[0])
+        if norm == 0:
             raise ZeroDivisionError("inverse of zero")
-        scale = fp_inv(r0[0], p)
-        out = np.zeros(self.d, dtype=np.int64)
-        for i, c in enumerate(s0[: self.d]):
-            out[i] = (c * scale) % p
-        return out
+        return (beta * fp_inv(norm, p)) % p
 
     def frob_matrix(self):
         # column j holds (y^j)^p mod m; Frobenius is F_p-linear on coords
@@ -127,15 +116,16 @@ class Kernel:
         return self._frob
 
     def e_frob(self, a, times=1):
-        F = self.frob_matrix()
-        out = a
-        for _ in range(times % self.d if self.d > 1 else 0):
-            out = (F @ out) % self.p
-        return out % self.p
+        # powers of the Frobenius matrix are cached as they are first needed
+        k = times % self.d
+        pows = self._frob_pows
+        while len(pows) <= k:
+            pows.append((self.frob_matrix() @ pows[-1]) % self.p)
+        return (pows[k] @ a) % self.p
 
     def e_pth_root(self, a):
         # Frobenius has order d, so its inverse is d-1 more applications
-        return self.e_frob(a, self.d - 1) if self.d > 1 else a % self.p
+        return self.e_frob(a, self.d - 1)
 
     def gen_vec(self):
         v = np.zeros(self.d, dtype=np.int64)
@@ -146,7 +136,7 @@ class Kernel:
     # ---- poly ops: arrays of shape (n+1, d) ----
 
     def trim(self, A):
-        if len(A) == 0:
+        if len(A) == 0 or A[-1].any():
             return A
         nz = np.nonzero(A.any(axis=1))[0]
         if len(nz) == 0:
@@ -183,55 +173,75 @@ class Kernel:
         a[:, :d] = A
         b = np.zeros((len(B), W), dtype=np.int64)
         b[:, :d] = B
-        c = np.convolve(a.ravel(), b.ravel())
         n = len(A) + len(B) - 1
-        full = np.zeros(n * W, dtype=np.int64)
-        m = min(len(c), n * W)
-        full[:m] = c[:m]  # tail of c beyond n*W is structurally zero
-        c2 = full.reshape(n, W)
+        # the convolution has n*W + W-1 entries; the tail past n*W is zero
+        c2 = np.convolve(a.ravel(), b.ravel())[: n * W].reshape(n, W)
         if d == 1:
             return self.trim(c2 % self.p)
         if self.p >= (1 << 10):
             # pre-reduce so the fold below cannot overflow int64
             c2 %= self.p
-        out = (c2[:, :d] + c2[:, d:] @ self.red) % self.p
-        return self.trim(out)
+        return self.trim((c2[:, :d] + c2[:, d:] @ self.red) % self.p)
 
     def p_scale(self, A, c):
         if len(A) == 0 or not c.any():
             return self.zero_poly
         return self.p_mul(A, c.reshape(1, self.d))
 
-    def mul_matrix(self, q):
-        # M[:, j] = coords(q * y^j), so q*v == M @ v
-        d = self.d
-        cols = [q % self.p]
-        for _ in range(1, d):
-            prev = cols[-1]
-            shifted = np.zeros(d, dtype=np.int64)
-            shifted[1:] = prev[:-1]
-            cols.append((shifted + prev[-1] * self.red[0]) % self.p if d > 1 else shifted)
-        return np.stack(cols, axis=1)
+    def ypow(self):
+        # ypow()[j] is the matrix of multiplication by y^j
+        if self._ypow is None:
+            d = self.d
+            Y = np.eye(d, k=-1, dtype=np.int64)
+            if d > 1:
+                Y[:, -1] = self.red[0]
+            mats = [np.eye(d, dtype=np.int64)]
+            for _ in range(1, d):
+                mats.append((Y @ mats[-1]) % self.p)
+            self._ypow = np.stack(mats)
+        return self._ypow
+
+    def mul_rows(self, q):
+        # row j is coords(q * y^j), so (v @ mul_rows(q)) % p == coords(q * v)
+        return (self.ypow() @ q) % self.p
 
     def p_divmod(self, A, B):
         if len(B) == 0:
             raise ZeroDivisionError("polynomial division by zero")
         A = self.trim(A)
-        if len(A) < len(B):
+        nb = len(B)
+        if len(A) < nb:
             return self.zero_poly, A.copy()
-        lead_inv = self.e_inv(B[-1])
+        p = self.p
+        nq = len(A) - nb + 1
+        lead = B[-1]
+        if self.d == 1:
+            # schoolbook division on Python ints: at these sizes it beats a
+            # numpy call per quotient digit; a monic divisor needs no inverse
+            r, b = A[:, 0].tolist(), B[:, 0].tolist()
+            lead_inv = 1 if b[-1] == 1 else int(self.e_inv(lead)[0])
+            q = [0] * nq
+            for i in range(nq - 1, -1, -1):
+                c = r[i + nb - 1] * lead_inv % p
+                if c:
+                    q[i] = c
+                    for j in range(nb - 1):
+                        r[i + j] = (r[i + j] - c * b[j]) % p
+            Q = np.array(q, dtype=np.int64).reshape(nq, 1)
+            R = np.array(r[: nb - 1], dtype=np.int64).reshape(nb - 1, 1)
+            return self.trim(Q), self.trim(R)
         R = A.copy()
-        nq = len(A) - len(B) + 1
         Q = np.zeros((nq, self.d), dtype=np.int64)
+        monic = lead[0] == 1 and not lead[1:].any()
+        lead_inv = None if monic else self.e_inv(lead)
         for i in range(nq - 1, -1, -1):
-            top = R[i + len(B) - 1]
+            top = R[i + nb - 1]
             if not top.any():
                 continue
-            q = self.e_mul(top, lead_inv)
+            q = top if monic else self.e_mul(top, lead_inv)
             Q[i] = q
-            M = self.mul_matrix(q)
-            R[i : i + len(B)] = (R[i : i + len(B)] - B @ M.T) % self.p
-        return self.trim(Q), self.trim(R[: len(B) - 1])
+            R[i : i + nb] = (R[i : i + nb] - B @ self.mul_rows(q)) % p
+        return self.trim(Q), self.trim(R[: nb - 1])
 
     def p_mod(self, A, B):
         return self.p_divmod(A, B)[1]
@@ -254,19 +264,14 @@ class Kernel:
             A, B = B, self.p_mod(A, B)
         return self.p_monic(A)
 
-    def mod_reducer(self, M):
-        """A fast reducer mod M for products of two residues.
+    def reduction_matrix(self, M):
+        """Reduction mod monic M of degree n >= 1 as one matrix.
 
-        Returns a callable taking a trimmed poly of degree < 2 deg M - 1
-        and returning it mod M.  The reduction is a single matrix product
-        against precomputed rows x^(deg M + i) mod M, flattened per y-digit,
-        so repeated reductions against one modulus avoid the division loop.
+        Row r*d + k holds coords(x^(n+r) * y^k mod M), flattened, for
+        r < n-1 and k < d.  For a product P of two residues (2n-1 rows),
+        P mod M == (P[:n].ravel() + P[n:].ravel() @ matrix) mod p.
         """
-        M = self.p_monic(self.trim(M))
-        n = len(M) - 1
-        d = self.d
-        if n <= 0:
-            return lambda A: self.zero_poly
+        n, d = len(M) - 1, self.d
         rows = []
         cur = (-M[:-1]) % self.p
         for _ in range(n - 1):
@@ -275,45 +280,54 @@ class Kernel:
             nxt = np.zeros((n, d), dtype=np.int64)
             nxt[1:] = cur[:-1]
             if top.any():
-                nxt = (nxt + rows[0] @ self.mul_matrix(top).T) % self.p
+                nxt = (nxt + rows[0] @ self.mul_rows(top)) % self.p
             cur = nxt
-        blocks = []
-        for row in rows:
-            shifted = row
-            for _ in range(d):
-                blocks.append(shifted.ravel())
-                if d > 1:
-                    carried = np.zeros((n, d), dtype=np.int64)
-                    carried[:, 1:] = shifted[:, :-1]
-                    carried += np.outer(shifted[:, -1], self.red[0])
-                    shifted = carried % self.p
-        big = (
-            np.array(blocks, dtype=np.int64)
-            if blocks
-            else np.zeros((0, n * d), dtype=np.int64)
-        )
+        if not rows:
+            return np.zeros((0, n * d), dtype=np.int64)
+        # block (r, k) is row r with every coefficient times y^k; reduced in
+        # place, since for large n and d this is the largest array built
+        big = np.stack(rows)[:, None] @ self.ypow().transpose(0, 2, 1)
+        big %= self.p
+        return big.reshape((n - 1) * d, n * d)
 
-        def reduce(A):
-            if len(A) <= n:
-                return A
-            low = np.zeros(n * d, dtype=np.int64)
-            low[: n * d] = A[:n].ravel()
-            high = A[n:].ravel()
-            out = (low + high @ big[: len(high)]) % self.p
-            return self.trim(out.reshape(n, d))
+    def p_powmod(self, A, e, M):
+        """A^e mod M by left-to-right binary powering.
 
-        return reduce
+        Residues stay n = deg M rows long and packed at y-stride 2d-1 for the
+        whole loop, and every product is reduced mod M by one precomputed
+        matrix, so the loop neither trims nor goes through p_mul.
+        """
+        if e == 0:
+            return self.one_poly.copy()
+        M = self.p_monic(self.trim(M))
+        n = len(M) - 1
+        if n <= 0:
+            return self.zero_poly
+        p, d, W = self.p, self.d, self.width
+        big = self.reduction_matrix(M)
+        red = self.red
+        base = np.zeros((n, W), dtype=np.int64)
+        low = self.p_mod(A, M)
+        base[: len(low), :d] = low
+        base = base.ravel()
 
-    def p_powmod(self, A, n, M):
-        reduce = self.mod_reducer(M)
-        acc = self.one_poly.copy()
-        base = reduce(self.p_mod(A, M))
-        while n:
-            if n & 1:
-                acc = reduce(self.p_mul(acc, base))
-            base = reduce(self.p_mul(base, base))
-            n >>= 1
-        return acc
+        def mulmod(a, b):
+            c = np.convolve(a, b)[: (2 * n - 1) * W].reshape(2 * n - 1, W)
+            if p >= (1 << 10):
+                c %= p  # keeps the folds below inside int64
+            if d == 1:
+                return (c[:n, 0] + c[n:, 0] @ big) % p
+            c = (c[:, :d] + c[:, d:] @ red) % p
+            out = np.zeros((n, W), dtype=np.int64)
+            out[:, :d] = (c[:n].ravel() + c[n:].ravel() @ big).reshape(n, d) % p
+            return out.ravel()
+
+        acc = base
+        for bit in bin(e)[3:]:
+            acc = mulmod(acc, acc)
+            if bit == "1":
+                acc = mulmod(acc, base)
+        return self.trim(np.ascontiguousarray(acc.reshape(n, W)[:, :d]))
 
     def p_deriv(self, A):
         if len(A) <= 1:

@@ -30,7 +30,7 @@ from itertools import product as _cartesian
 from math import gcd
 
 from .algebra import AlgebraElement, CanonicalInvolution, conjugate
-from .errors import InternalInconsistency, NotInvolution
+from .errors import InternalInconsistency, NotInvertible, NotInvolution
 from .fields import PrimeClosureField, RootMultiset
 from .laurent import LaurentPoly
 
@@ -453,6 +453,6 @@ def verify_witness(u, result):
     checks = {"in_R": True, "det_one": det == LaurentPoly.one(field)}
     try:
         checks["conjugation"] = conjugate(nu, u) == target
-    except Exception:
+    except NotInvertible:
         checks["conjugation"] = False
     return checks

@@ -767,10 +767,7 @@ def _find_root(kern, C, rng):
         U = kern.trim(U)
         if not len(U):
             continue
-        D = kern.p_gcd(U, C)
-        if 0 < kern.deg(D) < kern.deg(C):
-            C = _smaller_half(kern, C, D)
-            continue
+        # a root where U vanishes lands in neither half of this split
         V = kern.p_powmod(U, exp, C)
         V = kern.p_sub(V, kern.one_poly)
         D = kern.p_gcd(V, C)

@@ -1,5 +1,6 @@
 """Classification pipeline: factor, match, extract signs, build the witness."""
 
+import dataclasses
 import random
 
 import pytest
@@ -274,3 +275,26 @@ def test_result_to_json(F7):
     assert fac["m"] == -1 and fac["l"] == 1
     assert len(fac["one_plus_f_primes"]) == 2
     assert fac["in_I"] == []
+
+
+def test_verify_witness_non_unit_fails_conjugation(F7):
+    u0 = worked_example(F7)
+    res = classify(u0)
+    # 1 + t has determinant (1+t)(1+t^-1), not a unit, so it has no inverse
+    non_unit = AlgebraElement(LaurentPoly.one(F7) + LaurentPoly.t_power(F7, 1), LaurentPoly.zero(F7))
+    forged = dataclasses.replace(res, witness=non_unit)
+    assert verify_witness(u0, forged)["conjugation"] is False
+
+
+def test_verify_witness_lets_bugs_propagate(F7, monkeypatch):
+    import dihedral.classification as classification
+
+    u0 = worked_example(F7)
+    res = classify(u0)
+
+    def broken(v, u):
+        raise InternalInconsistency("injected", context={"where": "conjugate"})
+
+    monkeypatch.setattr(classification, "conjugate", broken)
+    with pytest.raises(InternalInconsistency):
+        verify_witness(u0, res)
