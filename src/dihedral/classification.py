@@ -445,12 +445,14 @@ def classify_idempotent(r, check=True):
 
 
 def verify_witness(u, result):
-    """Independent checks on a classification: det nu = 1 and the conjugation."""
+    """Independent checks: nu over u's coefficient field, det nu = 1, and the conjugation."""
     field = u.field
     nu = result.witness
     target = result.label.element(field)
     _, det = nu.trace_det()
-    checks = {"in_R": True, "det_one": det == LaurentPoly.one(field)}
+    # adding 1 does not change the level, so f stands in for 1+f
+    in_R = coefficient_level(field, u.f, u.g) % coefficient_level(field, nu.f, nu.g) == 0
+    checks = {"in_R": in_R, "det_one": det == LaurentPoly.one(field)}
     try:
         checks["conjugation"] = conjugate(nu, u) == target
     except NotInvertible:

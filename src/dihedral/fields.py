@@ -15,13 +15,18 @@ Elements are immutable and exact: residue vectors for the tower, Fraction for
 the rationals.  Root finding over the tower always succeeds up to the
 configured degree bound (squarefree split, then distinct-degree, then
 equal-degree descent); over the rationals only rational roots are found and
-anything else raises NotSplitOverField.
+anything else raises NotSplitOverField.  Rational roots are found on integer
+coefficients: candidates r/s come from the divisors of the constant and leading
+coefficients; s | lead, r | const, (s - r) | F(1) and (s + r) | F(-1), all on the
+current cofactor, discard most; survivors are divided out exactly, deflating,
+and once the degree is at most 2 the rest is closed form.
 """
 
 import threading
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from random import Random
 
 import numpy as np
@@ -68,14 +73,16 @@ def _prime_factors(n):
 
 
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a // gcd(a, b) * b
+    # ascending, by trial division up to sqrt(n)
+    small, large = [], []
+    k = 1
+    while k * k <= n:
+        if n % k == 0:
+            small.append(k)
+            if k * k != n:
+                large.append(n // k)
+        k += 1
+    return small + large[::-1]
 
 
 @dataclass(frozen=True)
@@ -438,7 +445,7 @@ class PrimeClosureField:
         return self._elt(target, (E @ x._vec()) % self.p)
 
     def _align(self, a, b):
-        lvl = _lcm(a.level, b.level)
+        lvl = lcm(a.level, b.level)
         if lvl > self.max_level:
             raise LevelOverflow(
                 f"levels {a.level} and {b.level} need level {lvl} > bound {self.max_level}"
@@ -526,9 +533,7 @@ class PrimeClosureField:
         if poly.is_zero:
             raise ValueError("roots of the zero polynomial")
         coeffs = poly.coeffs
-        base = 1
-        for c in coeffs:
-            base = _lcm(base, c.level)
+        base = lcm(*(c.level for c in coeffs))
         if base > self.max_level:
             raise LevelOverflow(f"coefficients need level {base} > bound {self.max_level}")
         kern = self._kernel(base)
@@ -597,80 +602,68 @@ class RationalField:
         """Rational roots with multiplicity; NotSplitOverField if any remain."""
         if poly.is_zero:
             raise ValueError("roots of the zero polynomial")
-        coeffs = [c.value for c in poly.coeffs]
-        entries = []
-        nzero = 0
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            nzero += 1
-        if nzero:
-            entries.append((self.zero, nzero))
-        if len(coeffs) > 1:
-            den = 1
-            for c in coeffs:
-                den = _lcm(den, c.denominator)
-            ints = [int(c * den) for c in coeffs]
-            for cand in _rational_candidates(ints):
-                mult = 0
-                while len(coeffs) > 1:
-                    quot, rem = _synth_div(coeffs, cand)
-                    if rem != 0:
-                        break
-                    coeffs = quot
-                    mult += 1
-                if mult:
-                    entries.append((RationalElement(self, cand), mult))
-                if len(coeffs) == 1:
-                    break
-            if len(coeffs) > 1:
-                raise NotSplitOverField(
-                    f"irreducible factor of degree {len(coeffs) - 1} remains over the rationals"
-                )
-        return RootMultiset(entries)
+        vals = [c.value for c in poly.coeffs]
+        den = lcm(*(v.denominator for v in vals))
+        nzero = next(i for i, v in enumerate(vals) if v)
+        F = [v.numerator * (den // v.denominator) for v in vals[nzero:]]
+        found = [(Fraction(0), nzero)] if nzero else []
+        if len(F) > 3:
+            F = _deflate_rational(F, found)
+        if len(F) == 3:
+            c, b, a = F
+            disc = b * b - 4 * a * c
+            d = isqrt(max(disc, 0))
+            if d * d == disc:
+                found += [(Fraction(-b + d, 2 * a), 1), (Fraction(-b - d, 2 * a), 1)]
+                F = [a]  # split: nothing of positive degree is left
+        if len(F) == 2:
+            found.append((Fraction(-F[0], F[1]), 1))
+        elif len(F) > 2:
+            raise NotSplitOverField(
+                f"irreducible factor of degree {len(F) - 1} remains over the rationals"
+            )
+        return RootMultiset([(RationalElement(self, r), m) for r, m in found])
 
 
-def _rational_candidates(ints):
-    from math import gcd
+def _deflate_rational(F, found):
+    """Divide rational roots x/s out of F (ints, low first, F[0] != 0) to degree <= 2.
 
-    c0, cn = abs(ints[0]), abs(ints[-1])
-    nums = _divisors_of(c0)
-    dens = _divisors_of(cn)
-    seen = set()
-    for r in nums:
+    Appends (Fraction(x, s), multiplicity) to found and returns the cofactor.
+    By Gauss's lemma the cofactor of s*t - x is integral, so every filter is necessary.
+    """
+    dens = _divisors(abs(F[-1]))
+    f1, fm1 = sum(F), sum(F[::2]) - sum(F[1::2])
+    for r in _divisors(abs(F[0])):
+        if F[0] % r:
+            continue
         for s in dens:
-            if gcd(r, s) != 1:
+            if F[-1] % s or gcd(r, s) != 1:
                 continue
-            for sign in (1, -1):
-                q = Fraction(sign * r, s)
-                if q not in seen:
-                    seen.add(q)
-                    yield q
+            for x in (r, -r):
+                if (s != x and f1 % (s - x)) or (s != -x and fm1 % (s + x)):
+                    continue
+                mult = 0
+                while len(F) > 3 and (Q := _exact_quotient(F, s, x)) is not None:
+                    F, mult = Q, mult + 1
+                if mult:
+                    found.append((Fraction(x, s), mult))
+                    if len(F) <= 3:
+                        return F
+                    f1, fm1 = sum(F), sum(F[::2]) - sum(F[1::2])
+    return F
 
 
-def _divisors_of(n):
-    if n == 0:
-        return []
-    n = abs(n)
-    small, large = [], []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            small.append(k)
-            if k != n // k:
-                large.append(n // k)
-        k += 1
-    return small + large[::-1]
-
-
-def _synth_div(coeffs, r):
-    # coeffs low-to-high; divide by (x - r)
-    n = len(coeffs) - 1
-    out = [Fraction(0)] * n
-    acc = coeffs[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = acc
-        acc = acc * r + coeffs[i]
-    return out, acc
+def _exact_quotient(F, s, x):
+    """F / (s*t - x) over the integers, low first; None unless it divides."""
+    n = len(F) - 1
+    Q = [0] * n
+    q = 0
+    for k in range(n, 0, -1):
+        q, rem = divmod(F[k] + x * q, s)
+        if rem:
+            return None
+        Q[k - 1] = q
+    return Q if F[0] + x * q == 0 else None
 
 
 # ---- factoring machinery over the tower (kernel-level) ----

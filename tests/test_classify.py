@@ -286,6 +286,19 @@ def test_verify_witness_non_unit_fails_conjugation(F7):
     assert verify_witness(u0, forged)["conjugation"] is False
 
 
+def test_verify_witness_in_R_rejects_a_lifted_witness(F7):
+    u0 = worked_example(F7)
+    res = classify(u0)
+    assert coefficient_level(F7, LaurentPoly.one(F7) + u0.f, u0.g) == 1
+    assert verify_witness(u0, res)["in_R"] is True
+    # a level-2 scalar is central: the lifted witness still conjugates u0
+    # to its label, but no longer lies in the algebra over F_7
+    lifted = dataclasses.replace(res, witness=res.witness.scale(F7.generator(2)))
+    checks = verify_witness(u0, lifted)
+    assert checks["in_R"] is False
+    assert checks["conjugation"] is True
+
+
 def test_verify_witness_lets_bugs_propagate(F7, monkeypatch):
     import dihedral.classification as classification
 

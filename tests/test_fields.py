@@ -1,6 +1,7 @@
 """Tower arithmetic, embeddings, Frobenius, and root finding."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from dihedral.errors import (
     CharacteristicTwo,
     DivisionByZero,
     LevelOverflow,
+    NotSplitOverField,
 )
 from dihedral.fields import FieldSpec, Poly, PrimeClosureField, RootMultiset, make_field
 
@@ -219,6 +221,66 @@ def test_rational_roots(Q):
     ms = Q.roots(poly)
     assert ms.multiplicity(Q.from_int(1) / Q.from_int(2)) == 2
     assert ms.multiplicity(Q.from_int(-1)) == 1
+
+
+def _qpoly(Q, *factors):
+    """prod of (s*x - r) for (s, r) in factors; a bare int multiplies."""
+    out = Poly.one(Q)
+    for f in factors:
+        if isinstance(f, int):
+            out = out * Poly(Q, (Q.from_int(f),))
+        else:
+            s, r = f
+            out = out * Poly(Q, (Q.from_fraction(-r), Q.from_int(s)))
+    return out
+
+
+def _qroots(Q, poly):
+    return [(r.value, m) for r, m in Q.roots(poly)]
+
+
+@pytest.mark.parametrize(
+    "factors, want",
+    [
+        # root 0 with multiplicity, split off before the integer search
+        ([(1, 0), (1, 0), (1, 0), (1, 2), (3, -1)], [(Fraction(-1, 3), 1), (0, 3), (2, 1)]),
+        # roots +-1 make s - r or s + r vanish, so the F(1)/F(-1) test is skipped
+        ([(1, 1), (1, 1), (1, -1), (1, -1), (2, 3)], [(-1, 2), (1, 2), (Fraction(3, 2), 1)]),
+        # negative leading coefficient
+        ([-1, (1, 2), (1, -3), (3, 1), (1, 7)], [(-3, 1), (Fraction(1, 3), 1), (2, 1), (7, 1)]),
+        # content > 1
+        ([6, (1, 2), (1, 3), (1, -4), (2, -1)], [(-4, 1), (Fraction(-1, 2), 1), (2, 1), (3, 1)]),
+        # a double root left for the quadratic formula (zero discriminant)
+        ([(1, 1), (1, 2), (5, -3), (5, -3)], [(Fraction(-3, 5), 2), (1, 1), (2, 1)]),
+        ([(3, 2), (3, 2)], [(Fraction(2, 3), 2)]),
+        # large roots, far down the candidate list
+        ([(7, 1234567), (1, -9991), (11, 2), (1, 5)],
+         [(-9991, 1), (Fraction(2, 11), 1), (5, 1), (Fraction(1234567, 7), 1)]),
+        # a constant has no roots
+        ([5], []),
+    ],
+)
+def test_rational_root_edge_cases(Q, factors, want):
+    assert _qroots(Q, _qpoly(Q, *factors)) == sorted(want)
+
+
+@pytest.mark.parametrize(
+    "coeffs, split, degree",
+    [
+        ((1, 0, 1), [(1, 1)], 2),  # (x - 1)(x^2 + 1)
+        ((-2, 0, 1), [(2, -1), (1, 0)], 2),  # after two roots, x^2 - 2 is left
+        ((-2, 0, 0, 1), [], 3),  # x^3 - 2
+        ((-2, 0, 0, 1), [(2, 1), (2, 1)], 3),
+        ((1, 1, 1, 1, 1), [(1, -1)], 4),  # (x + 1) times the fifth cyclotomic
+    ],
+)
+def test_rational_roots_report_what_does_not_split(Q, coeffs, split, degree):
+    poly = Poly.from_int_coeffs(Q, coeffs) * _qpoly(Q, *split)
+    with pytest.raises(NotSplitOverField) as exc:
+        Q.roots(poly)
+    assert str(exc.value) == f"irreducible factor of degree {degree} remains over the rationals"
+    with pytest.raises(ValueError):
+        Q.roots(Poly.zero(Q))
 
 
 def test_root_multiset_merges_and_sorts(F7):

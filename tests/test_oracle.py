@@ -1,15 +1,20 @@
-"""Root finding over F_p checked against sympy's factorization mod p.
+"""Root finding checked against sympy's factorizations, over F_p and Q.
 
-sympy shares no code with the tower, so it serves as an independent
-oracle: every degree-k irreducible factor of multiplicity m over F_p must
-show up as one Frobenius orbit of k roots, each of multiplicity m, whose
-product of linear factors is that same factor.
+sympy shares no code with the tower or the rational root search, so it
+serves as an independent oracle.  Over F_p, every degree-k irreducible
+factor of multiplicity m must show up as one Frobenius orbit of k roots,
+each of multiplicity m, whose product of linear factors is that same
+factor.  Over Q, the linear factors must give the roots with their
+multiplicities, and NotSplitOverField must be raised exactly when a
+non-linear factor exists, naming the total degree of those factors.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from dihedral.errors import NotSplitOverField
 from dihedral.fields import FieldSpec, Poly, make_field
 
 sympy = pytest.importorskip("sympy")
@@ -87,3 +92,51 @@ def test_roots_match_sympy_factorization(p):
         checked += 1
     # the corpus exercises irreducible factors of several degrees
     assert len(degrees) >= 3
+
+
+def random_rational_product(rng):
+    """Low-first Fraction coefficients of a random product over Q."""
+    x = sympy.Symbol("x")
+    expr = sympy.Rational(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 6))
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.7:
+            part = rng.randint(1, 9) * x - rng.randint(-20, 20)
+        else:
+            # may happen to be reducible; sympy decides
+            deg = rng.randint(2, 4)
+            part = x**deg + sum(sympy.Rational(rng.randint(-9, 9), rng.randint(1, 4)) * x**i for i in range(deg))
+        expr *= part ** rng.choice((1, 1, 2, 3))
+    poly = sympy.Poly(sympy.expand(expr), x, domain=sympy.QQ)
+    return [Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()[::-1]]
+
+
+def test_rational_roots_match_sympy_factorization():
+    Q = make_field(FieldSpec.rationals())
+    x = sympy.Symbol("x")
+    rng = random.Random(4100)
+    outcomes = {"split": 0, "refused": 0}
+    for _ in range(80):
+        coeffs = random_rational_product(rng)
+        _, factors = sympy.Poly(
+            sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs)), x, domain=sympy.QQ
+        ).factor_list()
+        want = {}
+        rest = 0
+        for fac, mult in factors:
+            if fac.degree() == 1:
+                b, a = fac.all_coeffs()
+                root = -Fraction(int(a.p), int(a.q)) / Fraction(int(b.p), int(b.q))
+                want[root] = want.get(root, 0) + mult
+            else:
+                rest += fac.degree() * mult
+        poly = Poly(Q, [Q.from_fraction(c.numerator, c.denominator) for c in coeffs])
+        if rest:
+            with pytest.raises(NotSplitOverField) as exc:
+                Q.roots(poly)
+            assert str(exc.value) == f"irreducible factor of degree {rest} remains over the rationals", coeffs
+            outcomes["refused"] += 1
+        else:
+            assert {r.value: m for r, m in Q.roots(poly)} == want, coeffs
+            outcomes["split"] += 1
+    # both outcomes are exercised
+    assert min(outcomes.values()) >= 20, outcomes
