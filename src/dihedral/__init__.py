@@ -26,7 +26,6 @@ from .errors import (
 )
 from .fields import (
     FieldSpec,
-    Poly,
     PrimeClosureField,
     RationalField,
     RootMultiset,

@@ -151,13 +151,6 @@ class Kernel:
             return self.zero_poly
         return self.trim(np.array(rows, dtype=np.int64) % self.p)
 
-    def p_add(self, A, B):
-        n = max(len(A), len(B))
-        out = np.zeros((n, self.d), dtype=np.int64)
-        out[: len(A)] += A
-        out[: len(B)] += B
-        return self.trim(out % self.p)
-
     def p_sub(self, A, B):
         n = max(len(A), len(B))
         out = np.zeros((n, self.d), dtype=np.int64)

@@ -11,8 +11,11 @@ Grammar, whitespace insignificant:
 Generators are a, b, s, t with a = s and b = s*t; adjacent letters multiply,
 so "st" reads as s*t.  A '/' outside a scalar literal must be followed by an
 integer and multiplies by its inverse in the coefficient field, which is how
-"(1-a)/2" builds an idempotent.  Parse errors carry the offset at which the
-input stopped making sense.
+"(1-a)/2" builds an idempotent.  Integers are ASCII digits 0-9 only.  At most
+MAX_NESTING open parentheses and unary minus signs, counted together, may
+enclose any point of the input, so parsing and evaluation stay well inside
+Python's recursion limit.  Parse errors carry the offset at which the input
+stopped making sense.
 """
 
 from dataclasses import dataclass
@@ -22,11 +25,6 @@ from .errors import NonUnitPower, NotInvertible, ParseError
 
 
 # ---- syntax tree ----
-
-
-@dataclass(frozen=True)
-class One:
-    pass
 
 
 @dataclass(frozen=True)
@@ -63,11 +61,14 @@ class Power:
 
 GENERATORS = ("a", "b", "s", "t")
 
+MAX_NESTING = 100
+
 
 # ---- tokenizer ----
 
 
 _SYMBOLS = "+-*/^()"
+_DIGITS = "0123456789"
 
 
 def _tokenize(src):
@@ -79,9 +80,9 @@ def _tokenize(src):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
             toks.append(("INT", int(src[i:j]), i))
             i = j
@@ -110,6 +111,7 @@ class _Parser:
     def __init__(self, src):
         self.toks = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -118,6 +120,11 @@ class _Parser:
         tok = self.toks[self.i]
         self.i += 1
         return tok
+
+    def nest(self, tok):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", tok[2])
 
     def expect(self, kind, what):
         tok = self.peek()
@@ -159,8 +166,10 @@ class _Parser:
 
     def factor(self):
         if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.factor())
+            self.nest(self.advance())
+            node = Neg(self.factor())
+            self.depth -= 1
+            return node
         node = self.atom()
         if self.peek()[0] == "^":
             self.advance()
@@ -180,9 +189,10 @@ class _Parser:
             self.advance()
             return Generator(tok[1])
         if tok[0] == "(":
-            self.advance()
+            self.nest(self.advance())
             node = self.expr()
             self.expect(")", "a closing parenthesis")
+            self.depth -= 1
             return node
         raise ParseError(
             "expected a value", tok[2], expected=("INT", "GEN", "(")
@@ -218,8 +228,6 @@ def eval_expression(node, field):
     field inverse and raises DivisionByZero when the denominator vanishes
     there.  A negative power of a non-unit raises NonUnitPower.
     """
-    if isinstance(node, One):
-        return AlgebraElement.one(field)
     if isinstance(node, ScalarLiteral):
         c = field.from_int(node.num)
         if node.den != 1:

@@ -12,7 +12,9 @@ their canonical minimal-level forms) and arithmetic lifts both operands to the
 lcm level.
 
 Elements are immutable and exact: residue vectors for the tower, Fraction for
-the rationals.  Root finding over the tower always succeeds up to the
+the rationals.  Both fields' roots(coeffs) take a polynomial as the sequence
+of its coefficients, lowest degree first, with a nonzero last entry, and
+return a RootMultiset.  Root finding over the tower always succeeds up to the
 configured degree bound (squarefree split, then distinct-degree, then
 equal-degree descent); over the rationals only rational roots are found and
 anything else raises NotSplitOverField.  Rational roots are found on integer
@@ -428,12 +430,6 @@ class PrimeClosureField:
             cols.append(kern.e_mul(cols[-1], r))
         return np.stack(cols, axis=1)
 
-    def _embedding_matrix(self, e, d):
-        if e == d:
-            return None
-        self.ensure_level(d)
-        return self._emb[(e, d)]
-
     def embed(self, x, target):
         """Image of x at a higher level; its level must divide the target."""
         if x.level == target:
@@ -524,28 +520,23 @@ class PrimeClosureField:
 
     # ---- root finding ----
 
-    def roots(self, poly):
-        """All roots of a nonzero Poly over the closure, with multiplicity.
+    def roots(self, coeffs):
+        """All roots over the closure, with multiplicity, of sum coeffs[i] * x^i.
 
-        May raise LevelOverflow when a root would live beyond the degree
-        bound; never NotSplitOverField (the closure splits everything).
+        coeffs is a sequence of tower elements, lowest degree first, whose
+        last entry is nonzero; otherwise ValueError.  May raise LevelOverflow
+        when a root would live beyond the degree bound; never
+        NotSplitOverField (the closure splits everything).
         """
-        if poly.is_zero:
-            raise ValueError("roots of the zero polynomial")
-        coeffs = poly.coeffs
+        _check_coeffs(coeffs)
         base = lcm(*(c.level for c in coeffs))
         if base > self.max_level:
             raise LevelOverflow(f"coefficients need level {base} > bound {self.max_level}")
         kern = self._kernel(base)
         rows = np.stack([self.embed(c, base)._vec() for c in coeffs])
-        A = kern.trim(rows)
-        entries = []
-        nzero = 0
-        while len(A) and not A[0].any():
-            A = A[1:]
-            nzero += 1
-        if nzero:
-            entries.append((self.zero, nzero))
+        nzero = next(i for i, row in enumerate(rows) if row.any())
+        entries = [(self.zero, nzero)] if nzero else []
+        A = rows[nzero:]
         if kern.deg(A) >= 1:
             A = kern.p_monic(A)
             seed = zlib.crc32(rows.tobytes()) ^ (self.p << 8) ^ base
@@ -598,11 +589,15 @@ class RationalField:
     def sort_key(self, x):
         return x.value
 
-    def roots(self, poly):
-        """Rational roots with multiplicity; NotSplitOverField if any remain."""
-        if poly.is_zero:
-            raise ValueError("roots of the zero polynomial")
-        vals = [c.value for c in poly.coeffs]
+    def roots(self, coeffs):
+        """Rational roots, with multiplicity, of sum coeffs[i] * x^i.
+
+        coeffs is a sequence of rational elements, lowest degree first, whose
+        last entry is nonzero; otherwise ValueError.  NotSplitOverField if a
+        factor without rational roots remains; it names that factor's degree.
+        """
+        _check_coeffs(coeffs)
+        vals = [c.value for c in coeffs]
         den = lcm(*(v.denominator for v in vals))
         nzero = next(i for i, v in enumerate(vals) if v)
         F = [v.numerator * (den // v.denominator) for v in vals[nzero:]]
@@ -623,6 +618,11 @@ class RationalField:
                 f"irreducible factor of degree {len(F) - 1} remains over the rationals"
             )
         return RootMultiset([(RationalElement(self, r), m) for r, m in found])
+
+
+def _check_coeffs(coeffs):
+    if not coeffs or coeffs[-1].is_zero():
+        raise ValueError("roots need coefficients with a nonzero last entry")
 
 
 def _deflate_rational(F, found):
@@ -774,138 +774,7 @@ def _smaller_half(kern, C, D):
     return D if kern.deg(D) <= kern.deg(other) else other
 
 
-# ---- generic polynomials and root multisets ----
-
-
-class Poly:
-    """Univariate polynomial with exact field coefficients, low degree first."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field):
-        return cls(field, (field.one,))
-
-    @classmethod
-    def x(cls, field):
-        return cls(field, (field.zero, field.one))
-
-    @classmethod
-    def from_int_coeffs(cls, field, ints):
-        return cls(field, [field.from_int(n) for n in ints])
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def leading(self):
-        return self.coeffs[-1]
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    __hash__ = None
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = a[i] + c
-        return Poly(self.field, a)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.field)
-        z = self.field.zero
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
-
-    def scale(self, c):
-        return Poly(self.field, [a * c for a in self.coeffs])
-
-    def __divmod__(self, other):
-        if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        if self.degree < other.degree:
-            return Poly.zero(self.field), self
-        lead_inv = other.leading().inv()
-        rem = list(self.coeffs)
-        nq = len(self.coeffs) - len(other.coeffs) + 1
-        quot = [self.field.zero] * nq
-        for i in range(nq - 1, -1, -1):
-            top = rem[i + len(other.coeffs) - 1]
-            if top.is_zero():
-                continue
-            q = top * lead_inv
-            quot[i] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] - q * b
-        return Poly(self.field, quot), Poly(self.field, rem[: len(other.coeffs) - 1])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        if a.is_zero:
-            return a
-        return a.monic()
-
-    def monic(self):
-        if self.is_zero:
-            return self
-        return self.scale(self.leading().inv())
-
-    def derivative(self):
-        f = self.field
-        return Poly(f, [f.from_int(i) * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x):
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self):
-        if self.is_zero:
-            return "Poly(0)"
-        return "Poly(" + ", ".join(repr(c) for c in self.coeffs) + ")"
+# ---- root multisets ----
 
 
 class RootMultiset:

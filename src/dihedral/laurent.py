@@ -7,10 +7,7 @@ body factors as unit * prod (t - lambda_i)^{m_i} with all lambda_i nonzero;
 units are exactly the single-term elements lambda * t^m.
 """
 
-import numpy as np
-
-from .errors import DivisionByZero, InternalInconsistency, NotAUnit
-from .fields import Poly, PrimeClosureField
+from .errors import DivisionByZero, NotAUnit
 
 
 class LaurentPoly:
@@ -99,13 +96,6 @@ class LaurentPoly:
             return self.coeffs[i]
         return self.field.zero
 
-    def body(self):
-        """The ordinary polynomial part: self = t^valuation * body."""
-        return Poly(self.field, self.coeffs)
-
-    def is_one(self):
-        return self.val == 0 and len(self.coeffs) == 1 and self.coeffs[0] == self.field.one
-
     # ---- arithmetic ----
 
     def __add__(self, other):
@@ -137,10 +127,6 @@ class LaurentPoly:
         if self.is_zero or other.is_zero:
             return LaurentPoly.zero(self.field)
         field = self.field
-        v = self.val + other.val
-        fast = _fast_mul(field, self.coeffs, other.coeffs)
-        if fast is not None:
-            return LaurentPoly(field, v, fast)
         z = field.zero
         out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -149,7 +135,7 @@ class LaurentPoly:
             for j, b in enumerate(other.coeffs):
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
-        return LaurentPoly(field, v, out)
+        return LaurentPoly(field, self.val + other.val, out)
 
     def scale(self, c):
         return LaurentPoly(self.field, self.val, [a * c for a in self.coeffs])
@@ -206,17 +192,6 @@ class LaurentPoly:
             return acc * x.inv() ** (-self.val)
         return acc
 
-    def exact_div(self, other):
-        """Quotient self/other when the division is exact."""
-        if other.is_zero:
-            raise DivisionByZero("Laurent division by zero")
-        if self.is_zero:
-            return self
-        q, r = divmod(self.body(), other.body())
-        if not r.is_zero:
-            raise InternalInconsistency("Laurent division left a remainder")
-        return LaurentPoly(self.field, self.val - other.val, q.coeffs)
-
     # ---- unit structure and factorization ----
 
     def is_unit(self):
@@ -236,7 +211,7 @@ class LaurentPoly:
         """
         if self.is_zero:
             raise ValueError("cannot factor the zero element")
-        roots = self.field.roots(self.body())
+        roots = self.field.roots(self.coeffs)
         return LaurentFactorization(UnitPart(self.coeffs[-1], self.val), roots)
 
     # ---- rendering ----
@@ -272,22 +247,6 @@ def _term_str(e, c):
         t = "t" if e == 1 else f"t^{e}"
         body = t if cs == "1" else f"{cs}*{t}"
     return ("-" if neg else "") + body
-
-
-def _fast_mul(field, ac, bc):
-    # level-1 tower coefficients multiply as plain residue convolutions
-    if not isinstance(field, PrimeClosureField):
-        return None
-    for c in ac:
-        if c.level != 1:
-            return None
-    for c in bc:
-        if c.level != 1:
-            return None
-    a = np.fromiter((c.coords[0] for c in ac), np.int64, len(ac))
-    b = np.fromiter((c.coords[0] for c in bc), np.int64, len(bc))
-    out = np.convolve(a, b) % field.p
-    return [field._elt1(int(x)) for x in out]
 
 
 class UnitPart:

@@ -1,6 +1,20 @@
 import pytest
 
 from dihedral.fields import FieldSpec, make_field
+from dihedral.laurent import LaurentPoly
+
+
+def poly_coeffs(poly):
+    """Low-first coefficients of a polynomial LaurentPoly, restoring the t^k it drops."""
+    return (poly.field.zero,) * poly.valuation + poly.coeffs
+
+
+def linear_product(field, roots):
+    """prod (t - r) over roots, as a LaurentPoly."""
+    out = LaurentPoly.one(field)
+    for r in roots:
+        out = out * LaurentPoly(field, 0, (-r, field.one))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -65,6 +65,14 @@ def test_exit_code_corpus(capsys):
         assert code == expected, argv
 
 
+def test_deep_nesting_exits_with_a_parse_error(capsys):
+    for src in ("(" * 247 + "t" + ")" * 247, "-" * 985 + "t", "(-" * 198 + "t" + ")" * 198):
+        assert run(["normalize", "--", src]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dihedral: parse error at offset 100: nesting deeper than 100")
+        assert "Traceback" not in err
+
+
 def test_predicates(capsys):
     assert run(["is-involution", "s*t^4"]) == 0
     assert capsys.readouterr().out.strip() == "true"

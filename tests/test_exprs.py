@@ -61,6 +61,58 @@ def test_parse_error_positions():
         parse_expression("3/a")
 
 
+@pytest.mark.parametrize("src, position", [("t^\u00b2", 2), ("\u0663*t", 0), ("\U0001d7d9", 0)])
+def test_only_ascii_digits(src, position):
+    # superscript two, Arabic-Indic three, double-struck one: str.isdigit accepts them all
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_expression(src)
+    assert err.value.position == position
+
+
+def test_nesting_bound(F7):
+    # open parentheses and unary minus signs count together, up to MAX_NESTING = 100
+    t = AlgebraElement.t(F7)
+    for src in ("(" * 100 + "t" + ")" * 100, "-" * 100 + "t", "(-" * 50 + "t" + ")" * 50):
+        assert evaluate(src, F7) == t
+    # siblings do not add up: depth counts only what encloses a point
+    assert len(parse_expression("(-t)" * 150).parts) == 150
+    past = [
+        "(" * 101 + "t" + ")" * 101,
+        "-" * 101 + "t",
+        "(-" * 50 + "(t)" + ")" * 50,
+        "-(" * 50 + "-t" + ")" * 50,
+        # the depths at which evaluation overflowed the stack without the bound
+        "(" * 247 + "t" + ")" * 247,
+        "-" * 985 + "t",
+        "(-" * 198 + "t" + ")" * 198,
+    ]
+    for src in past:
+        with pytest.raises(ParseError, match="nesting deeper than 100") as err:
+            parse_expression(src)
+        assert err.value.position == 100
+
+
+def test_any_text_parses_or_reports_an_offset():
+    """Every string over the grammar's characters, plus three it rejects, either
+    parses or raises ParseError at an offset inside the string (or at its end).
+
+    Only parsing is tried: evaluation has no cost budget yet (ROADMAP item 3),
+    so a short input such as (1+t)^99999 could run for minutes.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+    @hypothesis.given(st.text(alphabet="abst0123456789+-*/^() \u00b2\u0663\u00e9"))
+    def check(src):
+        try:
+            parse_expression(src)
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(src)
+
+    check()
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ParseError) as err:
         parse_expression("s t 2 )")

@@ -13,7 +13,10 @@ from dihedral.errors import (
     LevelOverflow,
     NotSplitOverField,
 )
-from dihedral.fields import FieldSpec, Poly, PrimeClosureField, RootMultiset, make_field
+from dihedral.fields import FieldSpec, PrimeClosureField, RootMultiset, make_field
+from dihedral.laurent import LaurentPoly
+
+from conftest import linear_product, poly_coeffs
 
 
 def test_field_spec_guards():
@@ -141,25 +144,23 @@ def test_sort_key_orders_elements(F7):
 
 
 def test_roots_of_split_polynomials(F7):
-    x = Poly.x(F7)
-    one = Poly.one(F7)
-    sq_minus_1 = x * x - one
-    ms = F7.roots(sq_minus_1)
+    ms = F7.roots([F7.from_int(-1), F7.zero, F7.one])
     assert ms.degree() == 2
     assert ms.multiplicity(F7.from_int(1)) == 1
     assert ms.multiplicity(F7.from_int(-1)) == 1
     # (x - 2)^3
-    lin = x - Poly.from_int_coeffs(F7, [2])
-    cube = lin * lin * lin
-    ms3 = F7.roots(cube)
+    ms3 = F7.roots(linear_product(F7, [F7.from_int(2)] * 3).coeffs)
     assert ms3.degree() == 3
     assert ms3.multiplicity(F7.from_int(2)) == 3
+    with pytest.raises(ValueError):
+        F7.roots([])
+    with pytest.raises(ValueError):
+        F7.roots([F7.one, F7.zero])
 
 
 def test_roots_above_the_prime_field(F7):
     # -1 is not a square mod 7, so x^2 + 1 splits at level 2
-    x = Poly.x(F7)
-    ms = F7.roots(x * x + Poly.one(F7))
+    ms = F7.roots([F7.one, F7.zero, F7.one])
     assert ms.degree() == 2
     for r, m in ms:
         assert m == 1
@@ -174,30 +175,23 @@ def test_roots_reassemble_and_match_construction(F5):
     for trial in range(25):
         lvl = rng.choice((1, 1, 2, 3))
         chosen = [F5.random_element(rng, lvl) for _ in range(rng.randint(1, 4))]
-        poly = Poly.one(F5)
-        for r in chosen:
-            poly = poly * (Poly.x(F5) - Poly(F5, (r,)))
-        ms = F5.roots(poly)
+        poly = linear_product(F5, chosen)
+        ms = F5.roots(poly_coeffs(poly))
         assert ms == RootMultiset([(r, 1) for r in chosen]), trial
-        rebuilt = Poly.one(F5)
-        for r, m in ms:
-            for _ in range(m):
-                rebuilt = rebuilt * (Poly.x(F5) - Poly(F5, (r,)))
-        assert rebuilt == poly
+        assert linear_product(F5, [r for r, m in ms for _ in range(m)]) == poly
 
 
 def test_roots_need_more_level_than_allowed():
     field = make_field(FieldSpec.prime_closure(7, 1))
-    x = Poly.x(field)
     with pytest.raises(LevelOverflow):
-        field.roots(x * x + Poly.one(field))
+        field.roots([field.one, field.zero, field.one])
 
 
 def test_roots_deterministic_across_instances():
     specs = FieldSpec.prime_closure(11)
     a, b = make_field(specs), make_field(specs)
-    pa = Poly.from_int_coeffs(a, [3, 0, 1, 5, 1])
-    pb = Poly.from_int_coeffs(b, [3, 0, 1, 5, 1])
+    pa = [a.from_int(n) for n in (3, 0, 1, 5, 1)]
+    pb = [b.from_int(n) for n in (3, 0, 1, 5, 1)]
     ra = [(r.level, r.coords, m) for r, m in a.roots(pa)]
     rb = [(r.level, r.coords, m) for r, m in b.roots(pb)]
     assert ra == rb
@@ -215,28 +209,26 @@ def test_rational_field_basics(Q):
 
 
 def test_rational_roots(Q):
-    x = Poly.x(Q)
-    half = Poly(Q, (Q.from_int(1) / Q.from_int(2),))
-    poly = (x - half) * (x - half) * (x + Poly.one(Q))
-    ms = Q.roots(poly)
+    half = Q.from_int(1) / Q.from_int(2)
+    ms = Q.roots(linear_product(Q, [half, half, Q.from_int(-1)]).coeffs)
     assert ms.multiplicity(Q.from_int(1) / Q.from_int(2)) == 2
     assert ms.multiplicity(Q.from_int(-1)) == 1
 
 
 def _qpoly(Q, *factors):
     """prod of (s*x - r) for (s, r) in factors; a bare int multiplies."""
-    out = Poly.one(Q)
+    out = LaurentPoly.one(Q)
     for f in factors:
         if isinstance(f, int):
-            out = out * Poly(Q, (Q.from_int(f),))
+            out = out * LaurentPoly.const(Q, Q.from_int(f))
         else:
             s, r = f
-            out = out * Poly(Q, (Q.from_fraction(-r), Q.from_int(s)))
+            out = out * LaurentPoly(Q, 0, (Q.from_fraction(-r), Q.from_int(s)))
     return out
 
 
 def _qroots(Q, poly):
-    return [(r.value, m) for r, m in Q.roots(poly)]
+    return [(r.value, m) for r, m in Q.roots(poly_coeffs(poly))]
 
 
 @pytest.mark.parametrize(
@@ -275,12 +267,14 @@ def test_rational_root_edge_cases(Q, factors, want):
     ],
 )
 def test_rational_roots_report_what_does_not_split(Q, coeffs, split, degree):
-    poly = Poly.from_int_coeffs(Q, coeffs) * _qpoly(Q, *split)
+    poly = LaurentPoly.from_int_terms(Q, enumerate(coeffs)) * _qpoly(Q, *split)
     with pytest.raises(NotSplitOverField) as exc:
-        Q.roots(poly)
+        Q.roots(poly_coeffs(poly))
     assert str(exc.value) == f"irreducible factor of degree {degree} remains over the rationals"
     with pytest.raises(ValueError):
-        Q.roots(Poly.zero(Q))
+        Q.roots([])
+    with pytest.raises(ValueError):
+        Q.roots([Q.one, Q.zero])
 
 
 def test_root_multiset_merges_and_sorts(F7):
@@ -303,9 +297,6 @@ def test_level_conformance_small_scale():
     for lvl in range(1, 9):
         for _ in range(4):
             chosen = [field.random_element(rng, lvl) for _ in range(3)]
-            poly = Poly.one(field)
-            for r in chosen:
-                poly = poly * (Poly.x(field) - Poly(field, (r,)))
-            ms = field.roots(poly)
+            ms = field.roots(poly_coeffs(linear_product(field, chosen)))
             assert ms.degree() == 3
             assert ms == RootMultiset([(r, 1) for r in chosen]), lvl

@@ -49,15 +49,6 @@ def test_eval_and_pole(F7):
         LaurentPoly.t_power(F7, -1).eval(F7.zero)
 
 
-def test_exact_division(F7):
-    p = LaurentPoly.from_int_terms(F7, {-2: 3, 0: 1, 5: 2})
-    q = LaurentPoly.from_int_terms(F7, {-1: 4, 3: 6})
-    assert p.exact_div(p) == LaurentPoly.one(F7)
-    assert (p * q).exact_div(q) == p
-    with pytest.raises(DivisionByZero):
-        p.exact_div(LaurentPoly.zero(F7))
-
-
 def test_unit_part(F7):
     u5 = LaurentPoly.t_power(F7, -4, F7.from_int(5))
     up = u5.as_unit()

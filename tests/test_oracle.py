@@ -15,7 +15,9 @@ from fractions import Fraction
 import pytest
 
 from dihedral.errors import NotSplitOverField
-from dihedral.fields import FieldSpec, Poly, make_field
+from dihedral.fields import FieldSpec, make_field
+
+from conftest import linear_product, poly_coeffs
 
 sympy = pytest.importorskip("sympy")
 
@@ -40,10 +42,7 @@ def frobenius_orbits(field, roots):
 
 def orbit_poly(field, orbit):
     """prod (x - r) over the orbit, as low-first ints mod p."""
-    out = Poly.one(field)
-    for r in orbit:
-        out = out * (Poly.x(field) - Poly(field, (r,)))
-    coeffs = [field.canonical(c) for c in out.coeffs]
+    coeffs = [field.canonical(c) for c in poly_coeffs(linear_product(field, orbit))]
     assert all(c.level == 1 for c in coeffs), "orbit polynomial not over F_p"
     return [c.coords[0] for c in coeffs]
 
@@ -82,7 +81,7 @@ def test_roots_match_sympy_factorization(p):
         ints = random_ints(rng, p)
         if len(ints) < 2 or ints[-1] == 0:
             continue
-        ms = field.roots(Poly.from_int_coeffs(field, ints))
+        ms = field.roots([field.from_int(n) for n in ints])
         got = sorted(
             (tuple(orbit_poly(field, orbit)), mult) for orbit, mult in frobenius_orbits(field, ms)
         )
@@ -129,7 +128,7 @@ def test_rational_roots_match_sympy_factorization():
                 want[root] = want.get(root, 0) + mult
             else:
                 rest += fac.degree() * mult
-        poly = Poly(Q, [Q.from_fraction(c.numerator, c.denominator) for c in coeffs])
+        poly = [Q.from_fraction(c.numerator, c.denominator) for c in coeffs]
         if rest:
             with pytest.raises(NotSplitOverField) as exc:
                 Q.roots(poly)
