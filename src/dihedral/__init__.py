@@ -56,6 +56,7 @@ from .classification import (
     classify_idempotent,
     enumerate_assignments,
     extract_eps_theta,
+    gcd_split,
     match_subset,
     transcript,
     verify_witness,

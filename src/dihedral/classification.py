@@ -1,31 +1,47 @@
 """Classification of involutions with explicit conjugating witnesses.
 
 An involution u = f + s*g other than +-1 has f* = -f, g != 0, and
-g g* = (1+f)(1+f)*.  The class of u is read off the prime factorizations
+g g* = (1+f)(1+f)*.  It is conjugate to exactly one eps * s * t^theta, and
+the witness nu with nu^-1 u nu = eps s t^theta is assembled from a split
 
-    1 + f = delta t^m prod p_i        g = gamma t^l prod_I p_i prod_Ic p_i*
-
-where the linear primes of g are matched against those of 1+f, taking p_i
-itself for indices in I and its star for the rest.  Then eps = gamma/delta
-is +-1, theta = (l+m) mod 2, and u is conjugate to eps * s * t^theta.  The
-witness nu with nu^-1 u nu canonical is assembled from the split
-
-    g1 = eps t^((l+m+theta)/2) prod_I p_i
-    g2 = delta t^((l-m-theta)/2) prod_Ic p_i*
+    g = g1 g2        with        1 + f = eps t^-theta g1 g2*
 
 as nu = eps * (F + s G) with F = (eps g2* + t^theta g1*)/2 and
 G = (t^theta g2 - eps g1)/2.  The leading eps makes nu the identity when u
 is already canonical; it does not affect the conjugation.
 
-Over a prime closure the roots of 1+f and g generate extensions of the
-subfield F_{p^step} cut out by the coefficients of u.  Root multiplicities
-are constant along orbits of x -> x^(p^step), and so is the count matched
-into I, so every product above is taken orbit by orbit: each orbit yields a
+classify finds the split with one gcd over the field of u's coefficients.
+A root lam of 1+f has f(lam) = -1, so f(1/lam) = 1 by skewness, and 1/lam
+is never also a root of 1+f.  The paper's g1 is therefore, up to a unit,
+the part P of g whose roots are roots of 1+f, with every multiplicity it
+has in g.  That part is P = gcd(g, 1+f): the multiplicities of lam in g and
+in g* add up to its multiplicity in g g* = (1+f)(1+f)*, which is its
+multiplicity in 1+f, so g never holds more copies of (t - lam) than 1+f.
+With X = P (g/P)* and dv = val(1+f) - val(X),
+
+    theta = dv mod 2,   eps = lead(1+f) / lead(X),   g1 = eps t^((dv+theta)/2) P
+
+and g2 = g/g1.  No roots are found, so no tower level above the
+coefficients of u is built.
+
+ClassificationResult.details holds the root-level account of the same
+split, computed on first access: 1+f and g are factored into linear primes,
+
+    1 + f = delta t^m prod p_i        g = gamma t^l prod_I p_i prod_Ic p_i*
+
+the primes of g are matched against those of 1+f (p_i itself for indices
+in I, its star for the rest), eps = gamma/delta and theta = (l+m) mod 2.
+Over a prime closure the roots generate extensions of the subfield
+F_{p^step} cut out by the coefficients of u.  Root multiplicities are
+constant along orbits of x -> x^(p^step), and so is the count matched into
+I, so every product there is taken orbit by orbit: each orbit yields a
 polynomial over the subfield, and the assembly never needs a composite of
 unrelated extension degrees.
 """
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field as _field
+from functools import cached_property, partial
 from itertools import product as _cartesian
 from math import gcd
 
@@ -54,7 +70,20 @@ class ClassificationDetails:
 class ClassificationResult:
     label: CanonicalInvolution
     witness: AlgebraElement
-    details: ClassificationDetails | None
+    # builds the details on demand; None for the central labels
+    details_fn: Callable[[], ClassificationDetails] | None = _field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def details(self):
+        """The root-level factorization data (None for +-1), built on first access.
+
+        This factors 1+f and g into linear primes, so it may raise what
+        root finding raises: LevelOverflow when a root lives beyond the
+        field's tower bound, even though classify itself succeeded.
+        """
+        return None if self.details_fn is None else self.details_fn()
 
     def canonical_element(self, field=None):
         if field is None:
@@ -375,19 +404,64 @@ def build_witness(u, fac_one_plus_f, fac_g, in_I, eps, theta, l, field, step=1):
     g2 = LaurentPoly.t_power(field, (l - m - theta) // 2, delta) * _prime_product(
         field, comp, starred=True, step=step
     )
+    return _witness(LaurentPoly.one(field) + u.f, u.g, eps, theta, g1, g2), g1, g2
 
-    if g1 * g2 != u.g:
+
+def _witness(one_plus_f, g, eps, theta, g1, g2):
+    """nu = eps (F + s G) from a split, after checking it against 1+f and g."""
+    field = g.field
+    eps_c = field.from_int(eps)
+    if g1 * g2 != g:
         raise InternalInconsistency("witness split does not multiply back to g")
-    one_plus_f = LaurentPoly.one(field) + u.f
     if LaurentPoly.t_power(field, -theta, eps_c) * g1 * g2.star() != one_plus_f:
         raise InternalInconsistency("witness split is inconsistent with 1+f")
 
     half = field.from_int(2).inv()
     t_theta = LaurentPoly.t_power(field, theta)
-    F = (g2.star().scale(eps_c) + t_theta * g1.star()).scale(half)
-    G = (t_theta * g2 - g1.scale(eps_c)).scale(half)
-    nu = AlgebraElement(F, G).scale(eps_c)
-    return nu, g1, g2
+    F = (g2.star().scale(eps_c) + t_theta * g1.star()).scale(eps_c * half)
+    G = (t_theta * g2 - g1.scale(eps_c)).scale(eps_c * half)
+    return AlgebraElement(_compressed(F), _compressed(G))
+
+
+def _compressed(poly):
+    """poly with every coefficient at its minimal tower level."""
+    field = poly.field
+    if not isinstance(field, PrimeClosureField):
+        return poly
+    return LaurentPoly(field, poly.val, [field.canonical(c) for c in poly.coeffs])
+
+
+# ---- the gcd split ----
+
+
+def gcd_split(one_plus_f, g):
+    """(eps, theta, g1, g2) with g = g1 g2 and 1+f = eps t^-theta g1 g2*.
+
+    g1 = eps t^a P with P = gcd(g, 1+f), taken by field.gcd at the level of
+    the coefficients (see the module docstring).  Raises InternalInconsistency when 1+f and
+    P (g/P)* differ by more than a sign and a power of t, which cannot
+    happen once g g* = (1+f)(1+f)* holds.
+    """
+    field = g.field
+    h = field.gcd(g.coeffs, one_plus_f.coeffs)
+    P = LaurentPoly(field, 0, h)
+    cofactor = LaurentPoly(field, g.val, field.quotient(g.coeffs, h))  # g / P
+    X = P * cofactor.star()
+    dv = one_plus_f.val - X.val
+    theta = dv % 2
+    eps_scalar = one_plus_f.coeffs[-1] / X.coeffs[-1]
+    if eps_scalar == field.one:
+        eps = 1
+    elif eps_scalar == -field.one:
+        eps = -1
+    else:
+        raise InternalInconsistency(
+            "1+f and the split of g differ by a non-sign",
+            context={"one_plus_f": repr(one_plus_f), "X": repr(X)},
+        )
+    a = (dv + theta) // 2
+    eps_c = field.from_int(eps)
+    return eps, theta, P.shift(a).scale(eps_c), cofactor.shift(-a).scale(eps_c)
 
 
 # ---- top level ----
@@ -396,32 +470,44 @@ def build_witness(u, fac_one_plus_f, fac_g, in_I, eps, theta, l, field, step=1):
 def classify(u, check=True):
     """The conjugacy class of an involution, with a conjugating witness.
 
-    Raises NotInvolution unless u^2 = 1, NotSplitOverField when the base
-    field cannot factor 1+f or g into linear primes, and LevelOverflow when
-    a root lives beyond the tower bound.
+    The label and the witness come from gcd_split, which works over the
+    field of u's coefficients.  Raises NotInvolution unless u^2 = 1, and,
+    over the rationals, NotSplitOverField when 1+f or g does not factor into
+    linear primes.  The result's details are built from roots only when
+    they are first read.
     """
     field = u.field
     if check and not u.is_involution():
         raise NotInvolution(f"{u} does not square to 1")
     one = AlgebraElement.one(field)
     if u == one:
-        return ClassificationResult(CanonicalInvolution.one(), one, None)
+        return ClassificationResult(CanonicalInvolution.one(), one)
     if u == -one:
-        return ClassificationResult(CanonicalInvolution.minus_one(), one, None)
+        return ClassificationResult(CanonicalInvolution.minus_one(), one)
     if u.g.is_zero:
         raise InternalInconsistency("non-central involution with g = 0")
 
     one_plus_f = LaurentPoly.one(field) + u.f
-    step = coefficient_level(field, one_plus_f, u.g)
-    fac_f = one_plus_f.factor_linear()
-    fac_g = u.g.factor_linear()
+    # The details are read off these factorizations.  Over q an involution
+    # is classified only when 1+f and g split into linear primes, so their
+    # primes are found now; over the closure they wait for the details.
+    lazy = isinstance(field, PrimeClosureField)
+    fac_f = one_plus_f.factor_linear(lazy)
+    fac_g = u.g.factor_linear(lazy)
+    eps, theta, g1, g2 = gcd_split(one_plus_f, u.g)
+    nu = _witness(one_plus_f, u.g, eps, theta, g1, g2)
+    label = CanonicalInvolution.eps_theta(eps, theta)
+    return ClassificationResult(label, nu, partial(_root_details, u, fac_f, fac_g))
 
+
+def _root_details(u, fac_f, fac_g):
+    """ClassificationDetails from the factorizations of 1+f and g into linear primes."""
+    field = u.field
+    step = coefficient_level(field, u.f, u.g)  # 1+f has the level of f
     in_I = match_subset(fac_f.primes, fac_g.primes)
     eps, theta, gamma, l = extract_eps_theta(fac_f, fac_g, in_I, field, step)
-    nu, g1, g2 = build_witness(u, fac_f, fac_g, in_I, eps, theta, l, field, step)
-
-    label = CanonicalInvolution.eps_theta(eps, theta)
-    details = ClassificationDetails(
+    _, g1, g2 = build_witness(u, fac_f, fac_g, in_I, eps, theta, l, field, step)
+    return ClassificationDetails(
         delta=fac_f.unit.scalar,
         m=fac_f.unit.exponent,
         one_plus_f_primes=fac_f.primes,
@@ -432,7 +518,6 @@ def classify(u, check=True):
         g1=g1,
         g2=g2,
     )
-    return ClassificationResult(label, nu, details)
 
 
 def classify_idempotent(r, check=True):

@@ -4,9 +4,9 @@ Commands take an expression in the generators a, b, s, t, evaluate it over
 the selected coefficient field, and print text or JSON.  Exit codes separate
 the failure surfaces: 1 for malformed input (expressions or flags), 2 for
 domain errors (not an involution, not invertible, ...), 3 for honest field
-limitations (a factor does not split, level bound exceeded, division by an
-integer that vanishes in the field), 4 for internal inconsistencies, which
-indicate a bug rather than a user error.
+limitations (a factor does not split over q, level bound exceeded, division
+by an integer that vanishes in the field), 4 for internal inconsistencies,
+which indicate a bug rather than a user error.
 """
 
 import argparse
@@ -105,7 +105,8 @@ def build_parser():
         type=_positive_int,
         default=64,
         metavar="N",
-        help="largest extension degree the field may build (default 64)",
+        help="largest extension degree the field may build (default 64); it "
+        "bounds root finding, which classify does not need",
     )
 
     parser = _ArgumentParser(
@@ -118,7 +119,11 @@ def build_parser():
     def cmd(name, help_text, expr=True):
         p = sub.add_parser(name, parents=[common], help=help_text)
         if expr:
-            p.add_argument("expr", help="element expression in a, b, s, t")
+            p.add_argument(
+                "expr",
+                help="element expression in a, b, s, t; one that starts with '-' "
+                "must follow '--', after every flag",
+            )
         return p
 
     cmd("normalize", "evaluate an expression and print its canonical form")

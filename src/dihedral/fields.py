@@ -558,6 +558,36 @@ class PrimeClosureField:
                         entries.append((self._elt(lvl, r), mult))
         return RootMultiset(entries)
 
+    # ---- polynomial gcd ----
+
+    def gcd(self, a, b):
+        """The monic gcd of sum a[i] x^i and sum b[i] x^i.
+
+        a and b are sequences of tower elements, lowest degree first, with
+        nonzero last entries.  The gcd runs on the kernel of the level their
+        coefficients generate, as roots() does, and never leaves it.
+        """
+        level, kern, (A, B) = self._poly_rows(a, b)
+        return self._poly_coeffs(level, kern.p_gcd(A, B))
+
+    def quotient(self, a, b):
+        """The quotient of sum a[i] x^i by sum b[i] x^i; the remainder is dropped."""
+        level, kern, (A, B) = self._poly_rows(a, b)
+        return self._poly_coeffs(level, kern.p_divmod(A, B)[0])
+
+    def _poly_rows(self, *polys):
+        level = lcm(*(c.level for poly in polys for c in poly))
+        rows = [
+            np.array([self.embed(c, level).coords for c in poly], dtype=np.int64)
+            for poly in polys
+        ]
+        return level, self._kernel(level), rows
+
+    def _poly_coeffs(self, level, A):
+        if level == 1:
+            return [self._elt1(r) for r in A[:, 0].tolist()]
+        return [self._elt(level, row) for row in A]
+
 
 class RationalField:
     """The rationals, backed by Fraction.  No tower, partial root finding."""
@@ -589,6 +619,18 @@ class RationalField:
     def sort_key(self, x):
         return x.value
 
+    def gcd(self, a, b):
+        """The monic gcd of sum a[i] x^i and sum b[i] x^i (nonzero last entries)."""
+        a, b = [c.value for c in a], [c.value for c in b]
+        while b:
+            a, b = b, _poly_divmod(a, b)[1]
+        return [RationalElement(self, c / a[-1]) for c in a]
+
+    def quotient(self, a, b):
+        """The quotient of sum a[i] x^i by sum b[i] x^i; the remainder is dropped."""
+        q, _ = _poly_divmod([c.value for c in a], [c.value for c in b])
+        return [RationalElement(self, c) for c in q]
+
     def roots(self, coeffs):
         """Rational roots, with multiplicity, of sum coeffs[i] * x^i.
 
@@ -618,6 +660,25 @@ class RationalField:
                 f"irreducible factor of degree {len(F) - 1} remains over the rationals"
             )
         return RootMultiset([(RationalElement(self, r), m) for r, m in found])
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of Fraction coefficient lists, lowest degree first.
+
+    b's last entry must be nonzero; the remainder has no trailing zeros.
+    """
+    n = len(b) - 1
+    rem = list(a)
+    quot = [0] * max(len(rem) - n, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + n] / b[-1]
+        if c:
+            for i in range(n):
+                rem[k + i] -= c * b[i]
+    rem = rem[:n]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
 
 
 def _check_coeffs(coeffs):

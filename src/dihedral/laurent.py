@@ -7,6 +7,8 @@ body factors as unit * prod (t - lambda_i)^{m_i} with all lambda_i nonzero;
 units are exactly the single-term elements lambda * t^m.
 """
 
+from functools import partial
+
 from .errors import DivisionByZero, NotAUnit
 
 
@@ -203,16 +205,18 @@ class LaurentPoly:
             raise NotAUnit(f"{self} is not of the form c*t^m")
         return UnitPart(self.coeffs[0], self.val)
 
-    def factor_linear(self):
+    def factor_linear(self, lazy=False):
         """Split off the unit and the linear primes (t - lambda_i).
 
         Requires a nonzero element.  Over the tower this always succeeds up
         to the level bound; over the rationals NotSplitOverField may raise.
+        With lazy=True the primes are found on first access to .primes, and
+        those errors surface there.
         """
         if self.is_zero:
             raise ValueError("cannot factor the zero element")
-        roots = self.field.roots(self.coeffs)
-        return LaurentFactorization(UnitPart(self.coeffs[-1], self.val), roots)
+        find = partial(self.field.roots, self.coeffs)
+        return LaurentFactorization(UnitPart(self.coeffs[-1], self.val), find if lazy else find())
 
     # ---- rendering ----
 
@@ -281,13 +285,23 @@ class UnitPart:
 
 
 class LaurentFactorization:
-    """unit * prod (t - lambda_i)^{m_i}; primes recorded as a root multiset."""
+    """unit * prod (t - lambda_i)^{m_i}; primes recorded as a root multiset.
 
-    __slots__ = ("unit", "primes")
+    primes may also be given as a function that finds them; it runs on the
+    first access.
+    """
+
+    __slots__ = ("unit", "_primes")
 
     def __init__(self, unit, primes):
         self.unit = unit
-        self.primes = primes
+        self._primes = primes
+
+    @property
+    def primes(self):
+        if callable(self._primes):
+            self._primes = self._primes()
+        return self._primes
 
     def reassemble(self):
         field = self.unit.scalar.field

@@ -2,11 +2,15 @@
 
 import json
 
+import pytest
+
 from dihedral import cli
 from dihedral.algebra import AlgebraElement
 from dihedral.classification import classify, transcript
+from dihedral.errors import LevelOverflow
 from dihedral.exprs import evaluate
 from dihedral.fields import FieldSpec, make_field
+from dihedral.laurent import LaurentPoly
 
 
 def run(argv):
@@ -71,6 +75,31 @@ def test_deep_nesting_exits_with_a_parse_error(capsys):
         err = capsys.readouterr().err
         assert err.startswith("dihedral: parse error at offset 100: nesting deeper than 100")
         assert "Traceback" not in err
+
+
+def test_classify_beyond_the_level_bound(capsys):
+    # 1 + f = t^-1 (t^2 + t - 1) has no root in F_7, yet the gcd split
+    # classifies u without leaving F_7
+    expr = "t - t^-1 + s*(1 + t - t^-1)"
+    field = make_field(FieldSpec.prime_closure(7, 1))
+    u = evaluate(expr, field)
+    with pytest.raises(LevelOverflow):
+        (LaurentPoly.one(field) + u.f).factor_linear()
+    assert run(["classify", expr, "--field", "fp:7", "--max-level", "1", "--json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["label"] == "eps=+1 theta=0"
+    assert blob["checks"] == {"in_R": True, "det_one": True, "conjugation": True}
+
+
+def test_expression_starting_with_minus_follows_double_dash(capsys):
+    # argparse reads a leading "-" as an option; "--" ends the options, so
+    # flags come before it
+    assert run(["classify", "-s"]) == 1
+    capsys.readouterr()
+    assert run(["classify", "--field", "fp:7", "--", "-s"]) == 0
+    assert "label: eps=-1 theta=0" in capsys.readouterr().out
+    assert run(["normalize", "--", "-s*t"]) == 0
+    assert capsys.readouterr().out.strip() == "s*(-t)"
 
 
 def test_predicates(capsys):
