@@ -19,33 +19,6 @@ def fp_inv(a, p):
     return pow(int(a), p - 2, p)
 
 
-def _divmod_ints(r, b, p):
-    """Quotient and remainder of int coefficient lists mod p, lowest degree first.
-
-    r is overwritten; b's last entry is nonzero mod p.  At level-1 sizes this
-    beats a numpy call per quotient digit, and a monic divisor needs no inverse.
-    """
-    nb = len(b)
-    if b[-1] % p == 0:
-        raise ZeroDivisionError("leading coefficient of the divisor is zero")
-    lead_inv = 1 if b[-1] == 1 else fp_inv(b[-1], p)
-    q = [0] * max(len(r) - nb + 1, 0)
-    for i in range(len(q) - 1, -1, -1):
-        c = r[i + nb - 1] * lead_inv % p
-        if c:
-            q[i] = c
-            for j in range(nb - 1):
-                r[i + j] = (r[i + j] - c * b[j]) % p
-    del r[nb - 1 :]
-    while r and not r[-1]:
-        r.pop()
-    return q, r
-
-
-def _column(vals):
-    return np.array(vals, dtype=np.int64).reshape(len(vals), 1)
-
-
 class Kernel:
     """Arithmetic for one tower level: F_{p^d} elements and polys over them."""
 
@@ -236,8 +209,20 @@ class Kernel:
         nq = len(A) - nb + 1
         lead = B[-1]
         if self.d == 1:
-            q, r = _divmod_ints(A[:, 0].tolist(), B[:, 0].tolist(), p)
-            return self.trim(_column(q)), _column(r)
+            # schoolbook division on Python ints: at these sizes it beats a
+            # numpy call per quotient digit; a monic divisor needs no inverse
+            r, b = A[:, 0].tolist(), B[:, 0].tolist()
+            lead_inv = 1 if b[-1] == 1 else int(self.e_inv(lead)[0])
+            q = [0] * nq
+            for i in range(nq - 1, -1, -1):
+                c = r[i + nb - 1] * lead_inv % p
+                if c:
+                    q[i] = c
+                    for j in range(nb - 1):
+                        r[i + j] = (r[i + j] - c * b[j]) % p
+            Q = np.array(q, dtype=np.int64).reshape(nq, 1)
+            R = np.array(r[: nb - 1], dtype=np.int64).reshape(nb - 1, 1)
+            return self.trim(Q), self.trim(R)
         R = A.copy()
         Q = np.zeros((nq, self.d), dtype=np.int64)
         monic = lead[0] == 1 and not lead[1:].any()
@@ -268,12 +253,6 @@ class Kernel:
 
     def p_gcd(self, A, B):
         A, B = self.trim(A), self.trim(B)
-        if self.d == 1 and len(A):
-            a, b = A[:, 0].tolist(), B[:, 0].tolist()
-            while b:
-                a, b = b, _divmod_ints(a, b, self.p)[1]
-            inv = fp_inv(a[-1], self.p)
-            return _column([c * inv % self.p for c in a])
         while len(B):
             A, B = B, self.p_mod(A, B)
         return self.p_monic(A)

@@ -46,7 +46,7 @@ from itertools import product as _cartesian
 from math import gcd
 
 from .algebra import AlgebraElement, CanonicalInvolution, conjugate
-from .errors import InternalInconsistency, NotInvertible, NotInvolution
+from .errors import InternalInconsistency, LevelOverflow, NotInvertible, NotInvolution
 from .fields import PrimeClosureField, RootMultiset
 from .laurent import LaurentPoly
 
@@ -91,6 +91,11 @@ class ClassificationResult:
         return self.label.element(field)
 
     def to_json(self):
+        """The label, the witness and, when details can be built, the factorization.
+
+        The "factorization" key is left out when reading details raises
+        LevelOverflow, so to_json works on every result classify returns.
+        """
         out = {
             "label": str(self.label),
             "kind": self.label.kind,
@@ -99,8 +104,11 @@ class ClassificationResult:
         if self.label.kind == "eps":
             out["eps"] = self.label.eps
             out["theta"] = self.label.theta
-        if self.details is not None:
+        try:
             d = self.details
+        except LevelOverflow:
+            d = None
+        if d is not None:
             out["factorization"] = {
                 "delta": repr(d.delta),
                 "m": d.m,
@@ -425,10 +433,7 @@ def _witness(one_plus_f, g, eps, theta, g1, g2):
 
 def _compressed(poly):
     """poly with every coefficient at its minimal tower level."""
-    field = poly.field
-    if not isinstance(field, PrimeClosureField):
-        return poly
-    return LaurentPoly(field, poly.val, [field.canonical(c) for c in poly.coeffs])
+    return LaurentPoly(poly.field, poly.val, [_compress(poly.field, c) for c in poly.coeffs])
 
 
 # ---- the gcd split ----
@@ -437,15 +442,15 @@ def _compressed(poly):
 def gcd_split(one_plus_f, g):
     """(eps, theta, g1, g2) with g = g1 g2 and 1+f = eps t^-theta g1 g2*.
 
-    g1 = eps t^a P with P = gcd(g, 1+f), taken by field.gcd at the level of
-    the coefficients (see the module docstring).  Raises InternalInconsistency when 1+f and
-    P (g/P)* differ by more than a sign and a power of t, which cannot
-    happen once g g* = (1+f)(1+f)* holds.
+    g1 = eps t^a P with P = gcd(g, 1+f), taken over the field of the
+    coefficients (see the module docstring).  Raises InternalInconsistency
+    when 1+f and P (g/P)* differ by more than a sign and a power of t,
+    which cannot happen once g g* = (1+f)(1+f)* holds.
     """
     field = g.field
-    h = field.gcd(g.coeffs, one_plus_f.coeffs)
+    h = _monic_gcd(field, g.coeffs, one_plus_f.coeffs)
     P = LaurentPoly(field, 0, h)
-    cofactor = LaurentPoly(field, g.val, field.quotient(g.coeffs, h))  # g / P
+    cofactor = LaurentPoly(field, g.val, field.poly_divmod(g.coeffs, h)[0])  # g / P
     X = P * cofactor.star()
     dv = one_plus_f.val - X.val
     theta = dv % 2
@@ -462,6 +467,14 @@ def gcd_split(one_plus_f, g):
     a = (dv + theta) // 2
     eps_c = field.from_int(eps)
     return eps, theta, P.shift(a).scale(eps_c), cofactor.shift(-a).scale(eps_c)
+
+
+def _monic_gcd(field, a, b):
+    """The monic gcd of two coefficient lists, lowest degree first, with nonzero last entries."""
+    while b:
+        a, b = b, field.poly_divmod(a, b)[1]
+    lead_inv = a[-1].inv()
+    return [c * lead_inv for c in a]
 
 
 # ---- top level ----
@@ -489,11 +502,10 @@ def classify(u, check=True):
 
     one_plus_f = LaurentPoly.one(field) + u.f
     # The details are read off these factorizations.  Over q an involution
-    # is classified only when 1+f and g split into linear primes, so their
-    # primes are found now; over the closure they wait for the details.
-    lazy = isinstance(field, PrimeClosureField)
-    fac_f = one_plus_f.factor_linear(lazy)
-    fac_g = u.g.factor_linear(lazy)
+    # is classified only when 1+f and g split into linear primes, and
+    # factor_linear refuses here when they do not.
+    fac_f = one_plus_f.factor_linear()
+    fac_g = u.g.factor_linear()
     eps, theta, g1, g2 = gcd_split(one_plus_f, u.g)
     nu = _witness(one_plus_f, u.g, eps, theta, g1, g2)
     label = CanonicalInvolution.eps_theta(eps, theta)

@@ -264,6 +264,9 @@ class RationalElement:
 class PrimeClosureField:
     """Lazily built tower of extensions of F_p, p an odd prime."""
 
+    # every polynomial has all its roots in the closure (up to the level bound)
+    splits_everything = True
+
     def __init__(self, p, max_extension_degree=64):
         if not isinstance(p, int) or not _is_prime(p):
             raise BadSpec(f"p must be prime, got {p!r}")
@@ -558,32 +561,23 @@ class PrimeClosureField:
                         entries.append((self._elt(lvl, r), mult))
         return RootMultiset(entries)
 
-    # ---- polynomial gcd ----
+    # ---- polynomial division ----
 
-    def gcd(self, a, b):
-        """The monic gcd of sum a[i] x^i and sum b[i] x^i.
+    def poly_divmod(self, a, b):
+        """Quotient and remainder of sum a[i] x^i by sum b[i] x^i.
 
-        a and b are sequences of tower elements, lowest degree first, with
-        nonzero last entries.  The gcd runs on the kernel of the level their
-        coefficients generate, as roots() does, and never leaves it.
+        a and b are sequences of tower elements, lowest degree first; b's
+        last entry is nonzero.  The division runs on the kernel of the level
+        the coefficients generate, as roots() does, and never leaves it.
+        Both results are coefficient lists without trailing zeros.
         """
-        level, kern, (A, B) = self._poly_rows(a, b)
-        return self._poly_coeffs(level, kern.p_gcd(A, B))
+        level = lcm(*(c.level for c in a), *(c.level for c in b))
+        kern = self._kernel(level)
+        A, B = (np.array([self.embed(c, level).coords for c in x], dtype=np.int64) for x in (a, b))
+        Q, R = kern.p_divmod(A, B)
+        return self._coeff_list(level, Q), self._coeff_list(level, R)
 
-    def quotient(self, a, b):
-        """The quotient of sum a[i] x^i by sum b[i] x^i; the remainder is dropped."""
-        level, kern, (A, B) = self._poly_rows(a, b)
-        return self._poly_coeffs(level, kern.p_divmod(A, B)[0])
-
-    def _poly_rows(self, *polys):
-        level = lcm(*(c.level for poly in polys for c in poly))
-        rows = [
-            np.array([self.embed(c, level).coords for c in poly], dtype=np.int64)
-            for poly in polys
-        ]
-        return level, self._kernel(level), rows
-
-    def _poly_coeffs(self, level, A):
+    def _coeff_list(self, level, A):
         if level == 1:
             return [self._elt1(r) for r in A[:, 0].tolist()]
         return [self._elt(level, row) for row in A]
@@ -593,6 +587,7 @@ class RationalField:
     """The rationals, backed by Fraction.  No tower, partial root finding."""
 
     characteristic = 0
+    splits_everything = False
 
     def describe(self):
         return "q"
@@ -619,17 +614,10 @@ class RationalField:
     def sort_key(self, x):
         return x.value
 
-    def gcd(self, a, b):
-        """The monic gcd of sum a[i] x^i and sum b[i] x^i (nonzero last entries)."""
-        a, b = [c.value for c in a], [c.value for c in b]
-        while b:
-            a, b = b, _poly_divmod(a, b)[1]
-        return [RationalElement(self, c / a[-1]) for c in a]
-
-    def quotient(self, a, b):
-        """The quotient of sum a[i] x^i by sum b[i] x^i; the remainder is dropped."""
-        q, _ = _poly_divmod([c.value for c in a], [c.value for c in b])
-        return [RationalElement(self, c) for c in q]
+    def poly_divmod(self, a, b):
+        """Quotient and remainder of sum a[i] x^i by sum b[i] x^i (b's last entry nonzero)."""
+        q, r = _poly_divmod([c.value for c in a], [c.value for c in b])
+        return [RationalElement(self, c) for c in q], [RationalElement(self, c) for c in r]
 
     def roots(self, coeffs):
         """Rational roots, with multiplicity, of sum coeffs[i] * x^i.

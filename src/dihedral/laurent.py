@@ -205,18 +205,19 @@ class LaurentPoly:
             raise NotAUnit(f"{self} is not of the form c*t^m")
         return UnitPart(self.coeffs[0], self.val)
 
-    def factor_linear(self, lazy=False):
+    def factor_linear(self):
         """Split off the unit and the linear primes (t - lambda_i).
 
-        Requires a nonzero element.  Over the tower this always succeeds up
-        to the level bound; over the rationals NotSplitOverField may raise.
-        With lazy=True the primes are found on first access to .primes, and
-        those errors surface there.
+        Requires a nonzero element.  Over the rationals the primes are found
+        here, and NotSplitOverField raises when they are not all rational.
+        The tower splits every polynomial, so there the primes are found on
+        the first read of .primes, which may raise LevelOverflow.
         """
         if self.is_zero:
             raise ValueError("cannot factor the zero element")
         find = partial(self.field.roots, self.coeffs)
-        return LaurentFactorization(UnitPart(self.coeffs[-1], self.val), find if lazy else find())
+        primes = find if self.field.splits_everything else find()
+        return LaurentFactorization(UnitPart(self.coeffs[-1], self.val), primes)
 
     # ---- rendering ----
 

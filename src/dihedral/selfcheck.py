@@ -112,6 +112,7 @@ def _suite_factorization(field, rng, report, degree_bound):
                 a = a * (LaurentPoly.t_power(field, 1) - LaurentPoly.const(field, root))
         try:
             fac = a.factor_linear()
+            primes = fac.primes
         except NotSplitOverField:
             report.skipped += 1
             continue
@@ -120,7 +121,7 @@ def _suite_factorization(field, rng, report, degree_bound):
             continue
         report.ok(fac.reassemble() == a, "factorization reassembles")
         report.ok(
-            fac.primes.degree() == (a.degree - a.valuation),
+            primes.degree() == (a.degree - a.valuation),
             "prime count matches the body degree",
         )
 

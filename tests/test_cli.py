@@ -84,7 +84,7 @@ def test_classify_beyond_the_level_bound(capsys):
     field = make_field(FieldSpec.prime_closure(7, 1))
     u = evaluate(expr, field)
     with pytest.raises(LevelOverflow):
-        (LaurentPoly.one(field) + u.f).factor_linear()
+        (LaurentPoly.one(field) + u.f).factor_linear().primes
     assert run(["classify", expr, "--field", "fp:7", "--max-level", "1", "--json"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["label"] == "eps=+1 theta=0"

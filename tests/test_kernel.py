@@ -85,46 +85,3 @@ def test_p_divmod_identity(level):
             Q, R = kern.p_divmod(A, B)
             assert len(R) < len(B)
             assert np.array_equal(kern.p_sub(kern.trim(A), kern.p_mul(Q, B)), R)
-
-
-def ref_gcd(a, b, p):
-    """Monic gcd of int coefficient lists mod p, lowest degree first."""
-    a, b = [c % p for c in a], [c % p for c in b]
-    while b and not b[-1]:
-        b.pop()
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b):
-            c = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for i, y in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * y) % p
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-@pytest.mark.parametrize("level", [1, 2])
-def test_p_gcd_is_the_monic_gcd(level):
-    p = 7
-    kern = make_field(FieldSpec.prime_closure(p))._kernel(level)
-    rng = random.Random(10 + level)
-
-    def rand_poly(n):
-        rows = [[rng.randrange(p) for _ in range(level)] for _ in range(n)]
-        rows.append([rng.randrange(1, p)] + [0] * (level - 1))
-        return kern.p_from_rows(rows)
-
-    for _ in range(40):
-        common = rand_poly(rng.randrange(0, 4))
-        A = kern.p_mul(common, rand_poly(rng.randrange(0, 5)))
-        B = kern.p_mul(common, rand_poly(rng.randrange(0, 5)))
-        G = kern.p_gcd(A, B)
-        assert G[-1].tolist() == kern.e_one.tolist()
-        for X in (A, B):
-            assert len(kern.p_divmod(X, G)[1]) == 0
-        assert len(kern.p_divmod(G, common)[1]) == 0
-        if level == 1:
-            assert G[:, 0].tolist() == ref_gcd(A[:, 0].tolist(), B[:, 0].tolist(), p)
