@@ -45,9 +45,9 @@ from functools import cached_property, partial
 from itertools import product as _cartesian
 from math import gcd
 
-from .algebra import AlgebraElement, CanonicalInvolution, conjugate
-from .errors import InternalInconsistency, LevelOverflow, NotInvertible, NotInvolution
-from .fields import PrimeClosureField, RootMultiset
+from .algebra import AlgebraElement, CanonicalInvolution
+from .errors import InternalInconsistency, LevelOverflow, NotInvolution
+from .fields import PrimeClosureField, RootMultiset, root_key
 from .laurent import LaurentPoly
 
 
@@ -166,10 +166,11 @@ def match_subset(x, y):
     """
     entries = []
     for lam, x_lam in x:
-        if lam == lam.inv():
+        inv = lam.inv()
+        if lam == inv:
             entries.append((lam, x_lam))
             continue
-        taken = max(0, y.multiplicity(lam) - x.multiplicity(lam.inv()))
+        taken = max(0, y.multiplicity(lam) - x.multiplicity(inv))
         if taken > x_lam:
             raise InternalInconsistency(
                 "prime matching wants more copies than 1+f has",
@@ -184,11 +185,10 @@ def match_subset(x, y):
 
 def _check_assignment(x, y, in_I):
     """Verify that I and its starred complement reproduce y exactly."""
-    support = [lam for lam, _ in x]
-    for lam, _ in y:
-        if all(lam != mu for mu in support):
-            support.append(lam)
-    for lam in support:
+    support = {}
+    for lam, _ in (*x, *y):
+        support.setdefault(root_key(lam), lam)
+    for lam in support.values():
         inv = lam.inv()
         produced = in_I.multiplicity(lam) + (
             x.multiplicity(inv) - in_I.multiplicity(inv)
@@ -213,11 +213,12 @@ def enumerate_assignments(x, y):
     for lam, _ in y:
         if x.multiplicity(lam) == 0 and x.multiplicity(lam.inv()) == 0:
             return
-    reps = []
+    reps, seen = [], set()
     for lam, _ in x:
-        if any(lam == mu or lam == mu.inv() for mu in reps):
+        if root_key(lam) in seen:
             continue
         reps.append(lam)
+        seen.update((root_key(lam), root_key(lam.inv())))
     ranges = []
     for lam in reps:
         inv = lam.inv()
@@ -265,33 +266,26 @@ def _frobenius_orbits(field, roots, step):
     across an orbit, which holds whenever the multiset came from a
     polynomial with coefficients in F_{p^step}.
     """
-    entries = list(roots)
     if not isinstance(field, PrimeClosureField):
-        return [([lam], mult) for lam, mult in entries]
-    used = [False] * len(entries)
+        return [([lam], mult) for lam, mult in roots]
+    remaining = {root_key(lam): (lam, mult) for lam, mult in roots}
     orbits = []
-    for idx, (lam, mult) in enumerate(entries):
-        if used[idx]:
-            continue
-        used[idx] = True
+    while remaining:
+        start = next(iter(remaining))
+        lam, mult = remaining.pop(start)
         orbit = [lam]
         cur = _frob_power(field, lam, step)
-        while cur != lam:
-            found = None
-            for jdx, (mu, mu_mult) in enumerate(entries):
-                if not used[jdx] and mu == cur:
-                    if mu_mult != mult:
-                        raise InternalInconsistency(
-                            "uneven multiplicity along a Frobenius orbit"
-                        )
-                    found = jdx
-                    break
-            if found is None:
+        while (key := root_key(cur)) != start:
+            if key not in remaining:
                 raise InternalInconsistency(
                     "root multiset is not closed under the subfield Frobenius"
                 )
-            used[found] = True
-            orbit.append(entries[found][0])
+            mu, mu_mult = remaining.pop(key)
+            if mu_mult != mult:
+                raise InternalInconsistency(
+                    "uneven multiplicity along a Frobenius orbit"
+                )
+            orbit.append(mu)
             cur = _frob_power(field, cur, step)
         orbits.append((orbit, mult))
     return orbits
@@ -311,15 +305,11 @@ def _compress(field, x):
 
 def _orbit_poly(field, orbit, invert_roots):
     """prod (t - lam) over one orbit, coefficients compressed to the subfield."""
-    t = LaurentPoly.t_power(field, 1)
     acc = LaurentPoly.one(field)
     for lam in orbit:
         root = lam.inv() if invert_roots else lam
-        acc = acc * (t - LaurentPoly.const(field, root))
-    return LaurentPoly.from_terms(
-        field,
-        [(e, _compress(field, c)) for e, c in acc.terms()],
-    )
+        acc = acc * LaurentPoly(field, 0, (-root, field.one))
+    return _compressed(acc)
 
 
 def _orbit_scalar(field, orbit):
@@ -342,7 +332,7 @@ def _prime_product(field, roots, starred, step):
         if starred:
             sign = field.one if len(orbit) % 2 == 0 else -field.one
             scalar = (sign * _orbit_scalar(field, orbit)) ** mult
-            body = body * LaurentPoly.t_power(field, -len(orbit) * mult, scalar)
+            body = body.shift(-len(orbit) * mult).scale(scalar)
         acc = acc * body
     return acc
 
@@ -377,16 +367,9 @@ def extract_eps_theta(fac_one_plus_f, fac_g, in_I, field, step=1):
         comp_scalar = comp_scalar * (sign * _orbit_scalar(field, orbit)) ** mult
     gamma = fac_g.unit.scalar / comp_scalar
     l = fac_g.unit.exponent + comp.degree()
-    eps_scalar = gamma / delta
-    if eps_scalar == field.one:
-        eps = 1
-    elif eps_scalar == -field.one:
-        eps = -1
-    else:
-        raise InternalInconsistency(
-            "unit scalars of g and 1+f differ by a non-sign",
-            context={"gamma": repr(gamma), "delta": repr(delta)},
-        )
+    eps = _sign(
+        gamma / delta, "unit scalars of g and 1+f differ by a non-sign", gamma=gamma, delta=delta
+    )
     theta = (l + m) % 2
     return eps, theta, gamma, l
 
@@ -405,13 +388,10 @@ def build_witness(u, fac_one_plus_f, fac_g, in_I, eps, theta, l, field, step=1):
     m = fac_one_plus_f.unit.exponent
     comp = _complement(fac_one_plus_f.primes, in_I)
 
-    eps_c = field.from_int(eps)
-    g1 = LaurentPoly.t_power(field, (l + m + theta) // 2, eps_c) * _prime_product(
-        field, in_I, starred=False, step=step
-    )
-    g2 = LaurentPoly.t_power(field, (l - m - theta) // 2, delta) * _prime_product(
-        field, comp, starred=True, step=step
-    )
+    g1 = _prime_product(field, in_I, starred=False, step=step)
+    g1 = g1.shift((l + m + theta) // 2).scale(field.from_int(eps))
+    g2 = _prime_product(field, comp, starred=True, step=step)
+    g2 = g2.shift((l - m - theta) // 2).scale(delta)
     return _witness(LaurentPoly.one(field) + u.f, u.g, eps, theta, g1, g2), g1, g2
 
 
@@ -421,13 +401,12 @@ def _witness(one_plus_f, g, eps, theta, g1, g2):
     eps_c = field.from_int(eps)
     if g1 * g2 != g:
         raise InternalInconsistency("witness split does not multiply back to g")
-    if LaurentPoly.t_power(field, -theta, eps_c) * g1 * g2.star() != one_plus_f:
+    if (g1 * g2.star()).shift(-theta).scale(eps_c) != one_plus_f:
         raise InternalInconsistency("witness split is inconsistent with 1+f")
 
     half = field.from_int(2).inv()
-    t_theta = LaurentPoly.t_power(field, theta)
-    F = (g2.star().scale(eps_c) + t_theta * g1.star()).scale(eps_c * half)
-    G = (t_theta * g2 - g1.scale(eps_c)).scale(eps_c * half)
+    F = (g2.star().scale(eps_c) + g1.star().shift(theta)).scale(eps_c * half)
+    G = (g2.shift(theta) - g1.scale(eps_c)).scale(eps_c * half)
     return AlgebraElement(_compressed(F), _compressed(G))
 
 
@@ -454,19 +433,25 @@ def gcd_split(one_plus_f, g):
     X = P * cofactor.star()
     dv = one_plus_f.val - X.val
     theta = dv % 2
-    eps_scalar = one_plus_f.coeffs[-1] / X.coeffs[-1]
-    if eps_scalar == field.one:
-        eps = 1
-    elif eps_scalar == -field.one:
-        eps = -1
-    else:
-        raise InternalInconsistency(
-            "1+f and the split of g differ by a non-sign",
-            context={"one_plus_f": repr(one_plus_f), "X": repr(X)},
-        )
+    eps = _sign(
+        one_plus_f.coeffs[-1] / X.coeffs[-1],
+        "1+f and the split of g differ by a non-sign",
+        one_plus_f=one_plus_f,
+        X=X,
+    )
     a = (dv + theta) // 2
     eps_c = field.from_int(eps)
     return eps, theta, P.shift(a).scale(eps_c), cofactor.shift(-a).scale(eps_c)
+
+
+def _sign(ratio, message, **context):
+    """1 or -1 for a ratio of +-1; otherwise InternalInconsistency with the reprs of context."""
+    one = ratio.field.one
+    if ratio == one:
+        return 1
+    if ratio == -one:
+        return -1
+    raise InternalInconsistency(message, context={k: repr(v) for k, v in context.items()})
 
 
 def _monic_gcd(field, a, b):
@@ -542,16 +527,19 @@ def classify_idempotent(r, check=True):
 
 
 def verify_witness(u, result):
-    """Independent checks: nu over u's coefficient field, det nu = 1, and the conjugation."""
+    """Independent checks: nu over u's coefficient field, det nu = 1, and the conjugation.
+
+    conjugation means that det nu is a unit (one term, of exponent 0 since
+    det is star-symmetric) and u nu = nu target.  Raises nothing of its own.
+    """
     field = u.field
     nu = result.witness
     target = result.label.element(field)
     _, det = nu.trace_det()
     # adding 1 does not change the level, so f stands in for 1+f
     in_R = coefficient_level(field, u.f, u.g) % coefficient_level(field, nu.f, nu.g) == 0
-    checks = {"in_R": in_R, "det_one": det == LaurentPoly.one(field)}
-    try:
-        checks["conjugation"] = conjugate(nu, u) == target
-    except NotInvertible:
-        checks["conjugation"] = False
-    return checks
+    return {
+        "in_R": in_R,
+        "det_one": det == LaurentPoly.one(field),
+        "conjugation": det.is_unit() and u * nu == nu * target,
+    }

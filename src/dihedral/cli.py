@@ -49,29 +49,37 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+def _ascii_int(text):
+    """A run of ASCII digits as an int; int() alone also reads signs, spaces, _ and other scripts."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text):
-    value = int(text)
+    value = _ascii_int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
 
 
 def _seed(text):
-    value = int(text)
+    value = _ascii_int(text)
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {text}")
     return value
 
 
 def make_field_from_flag(flag, max_level=64):
-    """Build a field from its flag syntax: "q" or "fp:<odd prime>"."""
+    """Build a field from its flag syntax: "q" or "fp:<odd prime>", p in ASCII digits."""
     if flag == "q":
         return make_field(FieldSpec.rationals())
     if flag.startswith("fp:"):
-        tail = flag[3:]
-        if not tail.isdigit():
-            raise BadSpec(f"bad field flag {flag!r}: expected fp:<prime>")
-        return make_field(FieldSpec.prime_closure(int(tail), max_level))
+        try:
+            p = _ascii_int(flag[3:])
+        except ValueError:
+            raise BadSpec(f"bad field flag {flag!r}: expected fp:<prime>") from None
+        return make_field(FieldSpec.prime_closure(p, max_level))
     raise BadSpec(f"bad field flag {flag!r}: expected q or fp:<prime>")
 
 

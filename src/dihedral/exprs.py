@@ -11,7 +11,8 @@ Grammar, whitespace insignificant:
 Generators are a, b, s, t with a = s and b = s*t; adjacent letters multiply,
 so "st" reads as s*t.  A '/' outside a scalar literal must be followed by an
 integer and multiplies by its inverse in the coefficient field, which is how
-"(1-a)/2" builds an idempotent.  Integers are ASCII digits 0-9 only.  At most
+"(1-a)/2" builds an idempotent.  Integers are ASCII digits 0-9 only, at most
+as many as Python converts to an int (4300 by default).  At most
 MAX_NESTING open parentheses and unary minus signs, counted together, may
 enclose any point of the input, so parsing and evaluation stay well inside
 Python's recursion limit.  Parse errors carry the offset at which the input
@@ -84,7 +85,11 @@ def _tokenize(src):
             j = i
             while j < n and src[j] in _DIGITS:
                 j += 1
-            toks.append(("INT", int(src[i:j]), i))
+            try:
+                value = int(src[i:j])
+            except ValueError:  # past Python's limit on digits converted
+                raise ParseError(f"integer literal of {j - i} digits is too long", i) from None
+            toks.append(("INT", value, i))
             i = j
             continue
         if ch.isalpha():

@@ -268,13 +268,14 @@ class PrimeClosureField:
     splits_everything = True
 
     def __init__(self, p, max_extension_degree=64):
+        if isinstance(p, int) and p >= (1 << 20):
+            # keeps every int64 accumulation in the packed kernel overflow-free,
+            # and is checked first so that trial division stays short
+            raise BadSpec(f"p = {p} is too large; the kernel supports p < 2^20")
         if not isinstance(p, int) or not _is_prime(p):
             raise BadSpec(f"p must be prime, got {p!r}")
         if p == 2:
             raise CharacteristicTwo("characteristic 2 is not supported")
-        if p >= (1 << 20):
-            # keeps every int64 accumulation in the packed kernel overflow-free
-            raise BadSpec(f"p = {p} is too large; the kernel supports p < 2^20")
         if not isinstance(max_extension_degree, int) or max_extension_degree < 1:
             raise BadSpec("max_extension_degree must be a positive integer")
         self.p = p
@@ -826,41 +827,38 @@ def _smaller_half(kern, C, D):
 # ---- root multisets ----
 
 
-class RootMultiset:
-    """Roots with multiplicities, kept in a canonical sorted order."""
+def root_key(x):
+    """A hashable key, equal exactly for equal roots and never across characteristics."""
+    return x.field.characteristic, x.field.sort_key(x)
 
-    __slots__ = ("entries",)
+
+class RootMultiset:
+    """Roots with multiplicities, merged by root_key (first root kept), in key order."""
+
+    __slots__ = ("entries", "_mult")
 
     def __init__(self, entries):
-        merged = []
+        merged = {}
         for root, mult in entries:
             if mult < 0:
                 raise ValueError("negative multiplicity")
-            if mult == 0:
-                continue
-            for i, (r, m) in enumerate(merged):
-                if r == root:
-                    merged[i] = (r, m + mult)
-                    break
-            else:
-                merged.append((root, mult))
-        if merged:
-            field = merged[0][0].field
-            merged.sort(key=lambda e: field.sort_key(e[0]))
-        self.entries = tuple(merged)
+            if mult:
+                key = root_key(root)
+                r, m = merged.get(key, (root, 0))
+                merged[key] = (r, m + mult)
+        keys = sorted(merged)
+        self.entries = tuple(merged[k] for k in keys)
+        self._mult = {k: merged[k][1] for k in keys}
 
     @classmethod
     def empty(cls):
         return cls(())
 
     def degree(self):
-        return sum(m for _, m in self.entries)
+        return sum(self._mult.values())
 
     def multiplicity(self, root):
-        for r, m in self.entries:
-            if r == root:
-                return m
-        return 0
+        return self._mult.get(root_key(root), 0)
 
     def __iter__(self):
         return iter(self.entries)
@@ -874,12 +872,7 @@ class RootMultiset:
     def __eq__(self, other):
         if not isinstance(other, RootMultiset):
             return NotImplemented
-        if len(self.entries) != len(other.entries):
-            return False
-        return all(
-            a[1] == b[1] and a[0] == b[0]
-            for a, b in zip(self.entries, other.entries)
-        )
+        return self._mult == other._mult
 
     __hash__ = None
 

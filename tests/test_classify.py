@@ -300,14 +300,13 @@ def test_verify_witness_in_R_rejects_a_lifted_witness(F7):
 
 
 def test_verify_witness_lets_bugs_propagate(F7, monkeypatch):
-    import dihedral.classification as classification
-
     u0 = worked_example(F7)
     res = classify(u0)
 
     def broken(v, u):
-        raise InternalInconsistency("injected", context={"where": "conjugate"})
+        raise InternalInconsistency("injected", context={"where": "AlgebraElement.__mul__"})
 
-    monkeypatch.setattr(classification, "conjugate", broken)
+    # the conjugation check multiplies u * nu
+    monkeypatch.setattr(AlgebraElement, "__mul__", broken)
     with pytest.raises(InternalInconsistency):
         verify_witness(u0, res)

@@ -1,13 +1,14 @@
 """Command line behavior: outputs, JSON mode, and the exit-code contract."""
 
 import json
+import time
 
 import pytest
 
 from dihedral import cli
 from dihedral.algebra import AlgebraElement
 from dihedral.classification import classify, transcript
-from dihedral.errors import LevelOverflow
+from dihedral.errors import BadSpec, LevelOverflow
 from dihedral.exprs import evaluate
 from dihedral.fields import FieldSpec, make_field
 from dihedral.laurent import LaurentPoly
@@ -62,11 +63,44 @@ def test_exit_code_corpus(capsys):
         (["conjugate", "s"], 1),
         (["frobnicate", "t"], 1),
         (["normalize", "t", "--bogus"], 1),
+        # only ASCII digits, within the bound p < 2^20 checked before primality
+        (["normalize", "t", "--field", "fp:\u00b2"], 1),
+        (["normalize", "t", "--field", "fp:\u0663"], 1),
+        (["normalize", "t", "--field", "fp:" + "9" * 5000], 1),
+        (["normalize", "t", "--field", "fp:2305843009213693951"], 1),
+        (["normalize", "t", "--field", "fp:1048576"], 1),
+        (["normalize", "t", "--field", "fp:+7"], 1),
+        (["normalize", "t", "--seed", "\u0663"], 1),
+        (["normalize", "t", "--iterations", "\u00b2"], 1),
+        (["normalize", "t", "--degree-bound", " 3"], 1),
+        (["normalize", "t", "--max-level", "1_0"], 1),
+        (["normalize", "t", "--seed", "9" * 5000], 1),
     ]
     for argv, expected in cases:
         code = run(argv)
         capsys.readouterr()
         assert code == expected, argv
+
+
+def test_huge_prime_is_refused_at_once():
+    start = time.perf_counter()
+    with pytest.raises(BadSpec, match="too large"):
+        make_field(FieldSpec.prime_closure(2**61 - 1))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_ascii_digit_flags_still_work(capsys):
+    argv = ["random-involution", "--field", "fp:101", "--seed", "18446744073709551615"]
+    assert run(argv + ["--degree-bound", "2", "--max-level", "3"]) == 0
+    assert "label: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("src, offset", [("9" * 5000, 0), ("t^" + "9" * 5000, 2)])
+def test_over_long_literal_exits_with_a_parse_error(capsys, src, offset):
+    assert run(["normalize", src]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"dihedral: parse error at offset {offset}: integer literal")
+    assert "Traceback" not in err
 
 
 def test_deep_nesting_exits_with_a_parse_error(capsys):

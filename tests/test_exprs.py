@@ -69,6 +69,14 @@ def test_only_ascii_digits(src, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize("src, position", [("9" * 5000, 0), ("t^" + "9" * 5000, 2), ("s + 1/" + "7" * 5000, 6)])
+def test_over_long_literal_is_a_parse_error(src, position):
+    # int() refuses more than 4300 digits by default
+    with pytest.raises(ParseError, match="5000 digits is too long") as err:
+        parse_expression(src)
+    assert err.value.position == position
+
+
 def test_nesting_bound(F7):
     # open parentheses and unary minus signs count together, up to MAX_NESTING = 100
     t = AlgebraElement.t(F7)
