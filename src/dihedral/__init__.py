@@ -10,6 +10,7 @@ and produces an explicit conjugating unit as a checkable witness.
 from .errors import (
     BadLevel,
     BadSpec,
+    BudgetExceeded,
     CharacteristicTwo,
     DihedralError,
     DivisionByZero,

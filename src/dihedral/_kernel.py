@@ -69,15 +69,17 @@ class Kernel:
         return self.e_reduce_wide(np.convolve(a, b))
 
     def e_pow(self, a, n):
+        # left-to-right binary powering, as in p_powmod: no product with one
         if n < 0:
             return self.e_pow(self.e_inv(a), -n)
-        acc = self.e_one.copy()
+        if n == 0:
+            return self.e_one.copy()
         base = a % self.p
-        while n:
-            if n & 1:
+        acc = base
+        for bit in bin(n)[3:]:
+            acc = self.e_mul(acc, acc)
+            if bit == "1":
                 acc = self.e_mul(acc, base)
-            base = self.e_mul(base, base)
-            n >>= 1
         return acc
 
     def e_inv(self, a):

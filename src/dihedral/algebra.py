@@ -21,7 +21,7 @@ from .errors import (
     NotInvertible,
     NotInvolution,
 )
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, power
 
 
 class AlgebraElement:
@@ -112,14 +112,7 @@ class AlgebraElement:
     def __pow__(self, n):
         if n < 0:
             return invert(self) ** (-n)
-        acc = AlgebraElement.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return power(self, n)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):

@@ -41,9 +41,10 @@ unrelated extension degrees.
 
 from collections.abc import Callable
 from dataclasses import dataclass, field as _field
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import product as _cartesian
 from math import gcd
+from operator import mul
 
 from .algebra import AlgebraElement, CanonicalInvolution
 from .errors import InternalInconsistency, LevelOverflow, NotInvolution
@@ -84,11 +85,6 @@ class ClassificationResult:
         field's tower bound, even though classify itself succeeded.
         """
         return None if self.details_fn is None else self.details_fn()
-
-    def canonical_element(self, field=None):
-        if field is None:
-            field = self.witness.field
-        return self.label.element(field)
 
     def to_json(self):
         """The label, the witness and, when details can be built, the factorization.
@@ -305,19 +301,14 @@ def _compress(field, x):
 
 def _orbit_poly(field, orbit, invert_roots):
     """prod (t - lam) over one orbit, coefficients compressed to the subfield."""
-    acc = LaurentPoly.one(field)
-    for lam in orbit:
-        root = lam.inv() if invert_roots else lam
-        acc = acc * LaurentPoly(field, 0, (-root, field.one))
-    return _compressed(acc)
+    roots = (lam.inv() if invert_roots else lam for lam in orbit)
+    primes = (LaurentPoly(field, 0, (-r, field.one)) for r in roots)
+    return _compressed(reduce(mul, primes))
 
 
 def _orbit_scalar(field, orbit):
     """prod of the orbit's roots, compressed to the subfield."""
-    prod = orbit[0]
-    for lam in orbit[1:]:
-        prod = prod * lam
-    return _compress(field, prod)
+    return _compress(field, reduce(mul, orbit))
 
 
 def _prime_product(field, roots, starred, step):

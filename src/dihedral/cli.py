@@ -19,6 +19,7 @@ from .classification import classify, transcript
 from .errors import (
     BadLevel,
     BadSpec,
+    BudgetExceeded,
     DihedralError,
     DivisionByZero,
     InternalInconsistency,
@@ -280,7 +281,7 @@ def main(argv=None):
     except (NotInvolution, NotIdempotent, NotInvertible) as exc:
         print(f"dihedral: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (NotSplitOverField, LevelOverflow, DivisionByZero) as exc:
+    except (NotSplitOverField, LevelOverflow, DivisionByZero, BudgetExceeded) as exc:
         print(f"dihedral: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FIELD
     except InternalInconsistency as exc:

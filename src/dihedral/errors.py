@@ -35,6 +35,10 @@ class NotSplitOverField(DihedralError):
     """A polynomial does not split over the active coefficient field."""
 
 
+class BudgetExceeded(DihedralError):
+    """An input or result is larger than the package can handle in bounded cost."""
+
+
 class NotAUnit(DihedralError):
     """Laurent polynomial with more than one term cannot be a unit."""
 

@@ -20,6 +20,8 @@ stopped making sense.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .algebra import AlgebraElement
 from .errors import NonUnitPower, NotInvertible, ParseError
@@ -254,10 +256,7 @@ def eval_expression(node, field):
             out = out + eval_expression(part, field)
         return out
     if isinstance(node, Product):
-        out = AlgebraElement.one(field)
-        for part in node.parts:
-            out = out * eval_expression(part, field)
-        return out
+        return reduce(mul, (eval_expression(part, field) for part in node.parts))
     if isinstance(node, Power):
         base = eval_expression(node.base, field)
         try:

@@ -28,7 +28,7 @@ import threading
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, log10
 from random import Random
 
 import numpy as np
@@ -37,6 +37,7 @@ from ._kernel import Kernel
 from .errors import (
     BadLevel,
     BadSpec,
+    BudgetExceeded,
     CharacteristicTwo,
     DivisionByZero,
     InternalInconsistency,
@@ -45,46 +46,37 @@ from .errors import (
 )
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    k = 3
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 2
-    return True
+def _factorize(n):
+    """The prime factors of n >= 1 with repetition, ascending, by trial division.
 
-
-def _prime_factors(n):
+    Trial stops at the square root of the cofactor left, so a smooth n is
+    cheap; a large prime factor q still costs about sqrt(q) divisions.
+    """
     out = []
     k = 2
     while k * k <= n:
-        if n % k == 0:
+        while n % k == 0:
             out.append(k)
-            while n % k == 0:
-                n //= k
-        k += 1
+            n //= k
+        k += 1 if k == 2 else 2
     if n > 1:
         out.append(n)
     return out
 
 
+def _is_prime(n):
+    return n >= 2 and _factorize(n) == [n]
+
+
+def _prime_factors(n):
+    return list(dict.fromkeys(_factorize(n)))
+
+
 def _divisors(n):
-    # ascending, by trial division up to sqrt(n)
-    small, large = [], []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            small.append(k)
-            if k * k != n:
-                large.append(n // k)
-        k += 1
-    return small + large[::-1]
+    divs = {1}
+    for q in _factorize(n):
+        divs |= {d * q for d in divs}
+    return sorted(divs)
 
 
 @dataclass(frozen=True)
@@ -258,7 +250,14 @@ class RationalElement:
     __hash__ = None
 
     def __repr__(self):
-        return str(self.value)
+        try:
+            return str(self.value)
+        except ValueError:  # past Python's limit on int-to-str conversion
+            bits = max(abs(self.value.numerator), self.value.denominator).bit_length()
+            digits = round(bits * log10(2))
+            raise BudgetExceeded(
+                f"a rational coefficient of about {digits} digits is too long to print"
+            ) from None
 
 
 class PrimeClosureField:

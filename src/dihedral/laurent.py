@@ -12,6 +12,22 @@ from functools import partial
 from .errors import DivisionByZero, NotAUnit
 
 
+def power(x, n):
+    """x ** n for n >= 0 (LaurentPoly or AlgebraElement), powering left to right.
+
+    From x, square per bit below the top one and multiply by x per 1 bit: no
+    product with one and no square past the top bit.  n == 0 gives one.
+    """
+    if n == 0:
+        return type(x).one(x.field)
+    acc = x
+    for bit in bin(n)[3:]:
+        acc = acc * acc
+        if bit == "1":
+            acc = acc * x
+    return acc
+
+
 class LaurentPoly:
     __slots__ = ("field", "val", "coeffs")
 
@@ -151,14 +167,7 @@ class LaurentPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative Laurent power; invert a unit instead")
-        acc = LaurentPoly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return power(self, n)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -308,9 +317,7 @@ class LaurentFactorization:
         field = self.unit.scalar.field
         out = self.unit.laurent()
         for root, mult in self.primes:
-            factor = LaurentPoly(field, 0, (-root, field.one))
-            for _ in range(mult):
-                out = out * factor
+            out = out * LaurentPoly(field, 0, (-root, field.one)) ** mult
         return out
 
     def __eq__(self, other):

@@ -17,6 +17,18 @@ def linear_product(field, roots):
     return out
 
 
+# exponents around the powers of two, where binary powering changes shape
+POWERS = (0, 1, 2, 3, 7, 8, 9, 16, 17)
+
+
+def repeated_product(x, n, one):
+    """x * x * ... * x (n factors), one for n = 0: the reference for x ** n."""
+    out = one
+    for _ in range(n):
+        out = out * x
+    return out
+
+
 @pytest.fixture(scope="session")
 def F3():
     return make_field(FieldSpec.prime_closure(3))

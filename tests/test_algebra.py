@@ -22,6 +22,8 @@ from dihedral.algebra import (
 from dihedral.errors import NotIdempotent, NotInvertible, NotInvolution
 from dihedral.laurent import LaurentPoly
 
+from conftest import POWERS, repeated_product
+
 
 def test_defining_relations(F7):
     s = AlgebraElement.s(F7)
@@ -146,6 +148,23 @@ def test_inverses(F7):
         invert(AlgebraElement.one(F7) + AlgebraElement.s(F7))
     with pytest.raises(NotInvertible):
         invert(AlgebraElement.zero(F7))
+
+
+def test_power_is_the_repeated_product(F7):
+    one = AlgebraElement.one(F7)
+    x = AlgebraElement.from_parts(F7, {-1: 2, 0: 1, 2: 3}, {0: 3, 1: -1})
+    for n in POWERS:
+        assert x ** n == repeated_product(x, n, one), n
+
+
+def test_negative_power_of_a_unit_is_a_power_of_its_inverse(F7):
+    one = AlgebraElement.one(F7)
+    t = AlgebraElement.t(F7)
+    two_s_t3 = AlgebraElement.from_parts(F7, {}, {3: 2})
+    for u in (t, two_s_t3):
+        for n in POWERS[1:]:
+            assert u ** -n == repeated_product(invert(u), n, one), n
+            assert u ** -n * u ** n == one, n
 
 
 def test_unipotent_units(F7):

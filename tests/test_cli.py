@@ -75,6 +75,8 @@ def test_exit_code_corpus(capsys):
         (["normalize", "t", "--degree-bound", " 3"], 1),
         (["normalize", "t", "--max-level", "1_0"], 1),
         (["normalize", "t", "--seed", "9" * 5000], 1),
+        (["selftest", "--degree-bound", "8", "--seed", "1", "--iterations", "5"], 0),
+        (["normalize", "9" * 4000 + "*" + "9" * 4000, "--field", "q"], 3),
     ]
     for argv, expected in cases:
         code = run(argv)

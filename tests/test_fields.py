@@ -1,6 +1,7 @@
 """Tower arithmetic, embeddings, Frobenius, and root finding."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,15 +9,25 @@ import pytest
 from dihedral.errors import (
     BadLevel,
     BadSpec,
+    BudgetExceeded,
     CharacteristicTwo,
     DivisionByZero,
     LevelOverflow,
     NotSplitOverField,
 )
-from dihedral.fields import FieldSpec, PrimeClosureField, RootMultiset, make_field
+from dihedral.exprs import evaluate
+from dihedral.fields import (
+    FieldSpec,
+    PrimeClosureField,
+    RootMultiset,
+    _divisors,
+    _is_prime,
+    _prime_factors,
+    make_field,
+)
 from dihedral.laurent import LaurentPoly
 
-from conftest import linear_product, poly_coeffs
+from conftest import POWERS, linear_product, poly_coeffs, repeated_product
 
 
 def test_field_spec_guards():
@@ -64,6 +75,32 @@ def test_ring_axioms_across_levels(F5):
             assert x * x.inv() == F5.one
             assert (x ** -2) * (x ** 2) == F5.one
         assert x ** 3 == x * x * x
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_power_is_the_repeated_product(F7, level):
+    x = F7.random_element(random.Random(level), level)
+    for n in POWERS:
+        assert x ** n == repeated_product(x, n, F7.one), n
+
+
+def test_trial_division_matches_brute_force():
+    for n in range(1, 2001):
+        divisors = [k for k in range(1, n + 1) if n % k == 0]
+        primes = [k for k in divisors if k > 1 and all(k % j for j in range(2, k))]
+        assert _divisors(n) == divisors, n
+        assert _prime_factors(n) == primes, n
+        assert _is_prime(n) == (primes == [n]), n
+    assert not _is_prime(0)
+
+
+def test_divisors_of_a_smooth_number_are_fast():
+    n = 2**40 * 3**10
+    start = time.perf_counter()
+    divisors = _divisors(n)
+    assert time.perf_counter() - start < 1.0
+    assert len(divisors) == 41 * 11
+    assert divisors == sorted(divisors) and all(n % d == 0 for d in divisors)
 
 
 def test_frobenius_is_a_field_automorphism(F7):
@@ -206,6 +243,13 @@ def test_rational_field_basics(Q):
     assert Q.characteristic == 0
     with pytest.raises(DivisionByZero):
         Q.from_int(1) / Q.zero
+
+
+def test_coefficient_too_long_to_print_is_a_budget_error(Q):
+    nines = "9" * 4000
+    u = evaluate(f"{nines}*{nines}", Q)
+    with pytest.raises(BudgetExceeded, match="about 8000 digits is too long to print"):
+        str(u)
 
 
 def test_rational_roots(Q):

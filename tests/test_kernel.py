@@ -8,6 +8,8 @@ import pytest
 from dihedral._kernel import Kernel
 from dihedral.fields import FieldSpec, make_field
 
+from conftest import POWERS
+
 BIG_P = 1048573  # the largest prime the tower accepts (p < 2^20)
 
 
@@ -64,6 +66,20 @@ def test_e_inv_is_inverse(p):
             assert kern.e_mul(a, kern.e_inv(a)).tolist() == kern.e_one.tolist()
         with pytest.raises(ZeroDivisionError):
             kern.e_inv(kern.e_zero)
+
+
+@pytest.mark.parametrize("level", [2, 5])
+def test_e_pow_is_the_repeated_product(level):
+    p = 7
+    kern = make_field(FieldSpec.prime_closure(p))._kernel(level)
+    rng = random.Random(level)
+    a = np.array([rng.randrange(1, p) for _ in range(level)], dtype=np.int64)
+    want = kern.e_one
+    for n in range(max(POWERS) + 1):
+        if n in POWERS:
+            assert kern.e_pow(a, n).tolist() == want.tolist(), n
+        want = kern.e_mul(want, a)
+    assert kern.e_pow(a, -3).tolist() == kern.e_pow(kern.e_inv(a), 3).tolist()
 
 
 @pytest.mark.parametrize("level", [1, 2, 6])

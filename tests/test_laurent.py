@@ -7,6 +7,8 @@ import pytest
 from dihedral.errors import DivisionByZero, NotAUnit, NotSplitOverField
 from dihedral.laurent import LaurentPoly, star_of_prime
 
+from conftest import POWERS, repeated_product
+
 
 def test_basic_arithmetic(F7):
     t = LaurentPoly.t_power(F7, 1)
@@ -25,6 +27,20 @@ def test_basic_arithmetic(F7):
     assert p * q == q * p
     assert t ** 3 == LaurentPoly.t_power(F7, 3)
     assert (t + one) ** 2 == t * t + t.scale(F7.from_int(2)) + one
+
+
+@pytest.mark.parametrize("field_name", ["F7", "Q"])
+def test_power_is_the_repeated_product(request, field_name):
+    field = request.getfixturevalue(field_name)
+    x = LaurentPoly.from_int_terms(field, {-2: 3, 0: 1, 1: -2, 3: 5})
+    if field_name == "Q":
+        x = x.scale(field.from_int(2) / field.from_int(3))
+    for n in POWERS:
+        assert x ** n == repeated_product(x, n, LaurentPoly.one(field)), n
+    with pytest.raises(ValueError):
+        x ** -1
+    with pytest.raises(ValueError):
+        LaurentPoly.t_power(field, 1) ** -1
 
 
 def test_star_is_a_ring_involution(F7):

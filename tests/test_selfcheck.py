@@ -44,3 +44,13 @@ def test_rationals_skip_what_cannot_split(Q):
     assert by_name["tower-embeddings"].skipped == 6
     for rep in reports:
         assert rep.passed(), (rep.name, rep.failures[:3])
+
+
+def test_factorization_past_the_level_bound_is_skipped(F7):
+    # at degree bound 8, reassembling primes from unrelated levels (here 10
+    # and 7) needs a level past 64; such rounds are skipped, not fatal
+    reports = run_selftest(F7, seed=1, iterations=5, degree_bound=8)
+    for rep in reports:
+        assert rep.passed(), (rep.name, rep.failures[:3])
+    by_name = {r.name: r for r in reports}
+    assert by_name["factorization"].skipped >= 1
