@@ -64,8 +64,6 @@ class Kernel:
         return (c[:d] + c[d:] @ self.red[: len(c) - d]) % self.p
 
     def e_mul(self, a, b):
-        if self.d == 1:
-            return (a * b) % self.p
         return self.e_reduce_wide(np.convolve(a, b))
 
     def e_pow(self, a, n):
@@ -84,16 +82,12 @@ class Kernel:
 
     def e_inv(self, a):
         p = self.p
-        if self.d == 1:
-            v = int(a[0]) % p
-            if v == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return np.array([fp_inv(v, p)], dtype=np.int64)
         # Itoh-Tsujii: with r = 1 + p + ... + p^(d-1), the norm a^r lies in
         # F_p and a^-1 = a^(r-1) / a^r.  beta = a^(p + p^2 + ... + p^k) is
         # built along the binary digits of d-1: doubling k multiplies beta
         # by its own k-th Frobenius image, and k -> k+1 takes frob(a * beta).
-        beta, k = None, 0
+        # beta starts at a^0 = 1, so d = 1 leaves it there and gives a^-1.
+        beta, k = self.e_one, 0
         for bit in bin(self.d - 1)[2:]:
             if k:
                 beta = self.e_mul(beta, self.e_frob(beta, k))
@@ -171,8 +165,6 @@ class Kernel:
         n = len(A) + len(B) - 1
         # the convolution has n*W + W-1 entries; the tail past n*W is zero
         c2 = np.convolve(a.ravel(), b.ravel())[: n * W].reshape(n, W)
-        if d == 1:
-            return self.trim(c2 % self.p)
         if self.p >= (1 << 10):
             # pre-reduce so the fold below cannot overflow int64
             c2 %= self.p
@@ -209,12 +201,11 @@ class Kernel:
             return self.zero_poly, A.copy()
         p = self.p
         nq = len(A) - nb + 1
-        lead = B[-1]
         if self.d == 1:
             # schoolbook division on Python ints: at these sizes it beats a
             # numpy call per quotient digit; a monic divisor needs no inverse
             r, b = A[:, 0].tolist(), B[:, 0].tolist()
-            lead_inv = 1 if b[-1] == 1 else int(self.e_inv(lead)[0])
+            lead_inv = 1 if b[-1] == 1 else fp_inv(b[-1], p)
             q = [0] * nq
             for i in range(nq - 1, -1, -1):
                 c = r[i + nb - 1] * lead_inv % p
@@ -227,6 +218,7 @@ class Kernel:
             return self.trim(Q), self.trim(R)
         R = A.copy()
         Q = np.zeros((nq, self.d), dtype=np.int64)
+        lead = B[-1]
         monic = lead[0] == 1 and not lead[1:].any()
         lead_inv = None if monic else self.e_inv(lead)
         for i in range(nq - 1, -1, -1):
@@ -246,10 +238,7 @@ class Kernel:
         if len(A) == 0:
             return A
         lead = A[-1]
-        if self.d == 1:
-            if lead[0] == 1:
-                return A
-        elif lead[0] == 1 and not lead[1:].any():
+        if lead[0] == 1 and not lead[1:].any():
             return A
         return self.p_scale(A, self.e_inv(lead))
 
@@ -311,6 +300,8 @@ class Kernel:
             if p >= (1 << 10):
                 c %= p  # keeps the folds below inside int64
             if d == 1:
+                # no y-fold: root finding at level 1 runs this loop, and the
+                # general form's extra numpy calls cost it about a third
                 return (c[:n, 0] + c[n:, 0] @ big) % p
             c = (c[:, :d] + c[:, d:] @ red) % p
             out = np.zeros((n, W), dtype=np.int64)

@@ -34,22 +34,25 @@ in I, its star for the rest), eps = gamma/delta and theta = (l+m) mod 2.
 Over a prime closure the roots generate extensions of the subfield
 F_{p^step} cut out by the coefficients of u.  Root multiplicities are
 constant along orbits of x -> x^(p^step), and so is the count matched into
-I, so every product there is taken orbit by orbit: each orbit yields a
-polynomial over the subfield, and the assembly never needs a composite of
-unrelated extension degrees.
+I, so I and its complement are closed under that power of Frobenius.  Every
+Frobenius power keeps an element's minimal tower level, so the roots at one
+level are whole orbits: laurent.prime_product multiplies them at that level
+and moves the product down into the subfield before the levels meet, and
+the assembly never needs a composite of unrelated extension degrees.  The
+product over the complement is starred as a whole, since star is a ring
+automorphism.
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass, field as _field
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 from itertools import product as _cartesian
-from math import gcd
-from operator import mul
+from math import lcm
 
 from .algebra import AlgebraElement, CanonicalInvolution
 from .errors import InternalInconsistency, LevelOverflow, NotInvolution
-from .fields import PrimeClosureField, RootMultiset, root_key
-from .laurent import LaurentPoly
+from .fields import RootMultiset, root_key
+from .laurent import LaurentPoly, compressed, prime_product
 
 
 @dataclass(frozen=True)
@@ -240,92 +243,28 @@ def enumerate_assignments(x, y):
         yield RootMultiset(entries)
 
 
-# ---- Frobenius orbit machinery ----
+# ---- root products ----
 
 
 def coefficient_level(field, *polys):
-    """The tower level generated by the coefficients of the given polys."""
-    if not isinstance(field, PrimeClosureField):
-        return 1
-    level = 1
-    for poly in polys:
-        for _, c in poly.terms():
-            cl = field.canonical(c).level
-            level = level * cl // gcd(level, cl)
-    return level
+    """The tower level generated by the coefficients of the given polys (1 over q)."""
+    return lcm(*(field.canonical(c).level for poly in polys for _, c in poly.terms()))
 
 
-def _frobenius_orbits(field, roots, step):
-    """Group a root multiset into orbits of x -> x^(p^step).
+def _prime_product(field, roots, step):
+    """prime_product over a root multiset that must be closed under x -> x^(p^step).
 
-    Rational roots are their own orbits.  Multiplicity must be uniform
-    across an orbit, which holds whenever the multiset came from a
-    polynomial with coefficients in F_{p^step}.
+    The product has its coefficients in F_{p^step} exactly when the multiset
+    is closed under that power of Frobenius, with equal multiplicities along
+    each orbit; otherwise this raises InternalInconsistency.
     """
-    if not isinstance(field, PrimeClosureField):
-        return [([lam], mult) for lam, mult in roots]
-    remaining = {root_key(lam): (lam, mult) for lam, mult in roots}
-    orbits = []
-    while remaining:
-        start = next(iter(remaining))
-        lam, mult = remaining.pop(start)
-        orbit = [lam]
-        cur = _frob_power(field, lam, step)
-        while (key := root_key(cur)) != start:
-            if key not in remaining:
-                raise InternalInconsistency(
-                    "root multiset is not closed under the subfield Frobenius"
-                )
-            mu, mu_mult = remaining.pop(key)
-            if mu_mult != mult:
-                raise InternalInconsistency(
-                    "uneven multiplicity along a Frobenius orbit"
-                )
-            orbit.append(mu)
-            cur = _frob_power(field, cur, step)
-        orbits.append((orbit, mult))
-    return orbits
-
-
-def _frob_power(field, x, step):
-    for _ in range(step):
-        x = field.frobenius(x)
-    return x
-
-
-def _compress(field, x):
-    if isinstance(field, PrimeClosureField):
-        return field.canonical(x)
-    return x
-
-
-def _orbit_poly(field, orbit, invert_roots):
-    """prod (t - lam) over one orbit, coefficients compressed to the subfield."""
-    roots = (lam.inv() if invert_roots else lam for lam in orbit)
-    primes = (LaurentPoly(field, 0, (-r, field.one)) for r in roots)
-    return _compressed(reduce(mul, primes))
-
-
-def _orbit_scalar(field, orbit):
-    """prod of the orbit's roots, compressed to the subfield."""
-    return _compress(field, reduce(mul, orbit))
-
-
-def _prime_product(field, roots, starred, step):
-    """prod p_i (starred=False) or prod p_i* (starred=True) over a multiset.
-
-    For the starred form the unit parts of each factor
-    (t - lam)* = (-lam) t^-1 (t - 1/lam) are folded in.
-    """
-    acc = LaurentPoly.one(field)
-    for orbit, mult in _frobenius_orbits(field, roots, step):
-        body = _orbit_poly(field, orbit, invert_roots=starred) ** mult
-        if starred:
-            sign = field.one if len(orbit) % 2 == 0 else -field.one
-            scalar = (sign * _orbit_scalar(field, orbit)) ** mult
-            body = body.shift(-len(orbit) * mult).scale(scalar)
-        acc = acc * body
-    return acc
+    out = prime_product(field, roots)
+    if step % coefficient_level(field, out):
+        raise InternalInconsistency(
+            "root multiset is not closed under the subfield Frobenius",
+            context={"roots": repr(roots), "step": step},
+        )
+    return out
 
 
 def _complement(x, in_I):
@@ -352,10 +291,9 @@ def extract_eps_theta(fac_one_plus_f, fac_g, in_I, field, step=1):
     delta = fac_one_plus_f.unit.scalar
     m = fac_one_plus_f.unit.exponent
     comp = _complement(fac_one_plus_f.primes, in_I)
-    comp_scalar = field.one
-    for orbit, mult in _frobenius_orbits(field, comp, step):
-        sign = field.one if len(orbit) % 2 == 0 else -field.one
-        comp_scalar = comp_scalar * (sign * _orbit_scalar(field, orbit)) ** mult
+    # the star of (t - lam) has unit part -lam t^-1, and prod (-lam)^m is
+    # the constant term of the plain product
+    comp_scalar = _prime_product(field, comp, step).coefficient(0)
     gamma = fac_g.unit.scalar / comp_scalar
     l = fac_g.unit.exponent + comp.degree()
     eps = _sign(
@@ -379,9 +317,10 @@ def build_witness(u, fac_one_plus_f, fac_g, in_I, eps, theta, l, field, step=1):
     m = fac_one_plus_f.unit.exponent
     comp = _complement(fac_one_plus_f.primes, in_I)
 
-    g1 = _prime_product(field, in_I, starred=False, step=step)
+    g1 = _prime_product(field, in_I, step)
     g1 = g1.shift((l + m + theta) // 2).scale(field.from_int(eps))
-    g2 = _prime_product(field, comp, starred=True, step=step)
+    # prod p_i* is the star of prod p_i, since star is a ring automorphism
+    g2 = _prime_product(field, comp, step).star()
     g2 = g2.shift((l - m - theta) // 2).scale(delta)
     return _witness(LaurentPoly.one(field) + u.f, u.g, eps, theta, g1, g2), g1, g2
 
@@ -398,12 +337,7 @@ def _witness(one_plus_f, g, eps, theta, g1, g2):
     half = field.from_int(2).inv()
     F = (g2.star().scale(eps_c) + g1.star().shift(theta)).scale(eps_c * half)
     G = (g2.shift(theta) - g1.scale(eps_c)).scale(eps_c * half)
-    return AlgebraElement(_compressed(F), _compressed(G))
-
-
-def _compressed(poly):
-    """poly with every coefficient at its minimal tower level."""
-    return LaurentPoly(poly.field, poly.val, [_compress(poly.field, c) for c in poly.coeffs])
+    return AlgebraElement(compressed(F), compressed(G))
 
 
 # ---- the gcd split ----

@@ -198,6 +198,7 @@ class RationalElement:
     """Exact rational scalar."""
 
     __slots__ = ("field", "value")
+    level = 1  # the rationals are their own tower level
 
     def __init__(self, field, value):
         self.field = field
@@ -610,6 +611,10 @@ class RationalField:
 
     def random_element(self, rng, level=1):
         return RationalElement(self, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+
+    def canonical(self, x):
+        """x itself: a rational is already at its only level."""
+        return x
 
     def sort_key(self, x):
         return x.value

@@ -5,9 +5,16 @@ nonzero (the zero element keeps val = 0 and no coefficients).  The star map
 t -> t^-1 is the algebra's key involution.  Every nonzero element with a split
 body factors as unit * prod (t - lambda_i)^{m_i} with all lambda_i nonzero;
 units are exactly the single-term elements lambda * t^m.
+
+prime_product(field, roots) multiplies a root multiset back into
+prod (t - lambda)^m level by level: the roots at one tower level are
+multiplied together and their product is moved down to its minimal level
+before the levels meet, so no level above those of the roots and of the
+result is built.
 """
 
-from functools import partial
+from functools import partial, reduce
+from operator import mul
 
 from .errors import DivisionByZero, NotAUnit
 
@@ -314,11 +321,8 @@ class LaurentFactorization:
         return self._primes
 
     def reassemble(self):
-        field = self.unit.scalar.field
-        out = self.unit.laurent()
-        for root, mult in self.primes:
-            out = out * LaurentPoly(field, 0, (-root, field.one)) ** mult
-        return out
+        unit = self.unit
+        return prime_product(unit.scalar.field, self.primes).shift(unit.exponent).scale(unit.scalar)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentFactorization):
@@ -329,6 +333,31 @@ class LaurentFactorization:
 
     def __repr__(self):
         return f"LaurentFactorization(unit={self.unit!r}, primes={self.primes!r})"
+
+
+def compressed(poly):
+    """poly with every coefficient at its minimal tower level."""
+    canonical = poly.field.canonical
+    return LaurentPoly(poly.field, poly.val, [canonical(c) for c in poly.coeffs])
+
+
+def prime_product(field, roots):
+    """prod (t - lambda)^m over a root multiset, one for the empty multiset.
+
+    The roots are grouped by their minimal tower level, and each group's
+    product is compressed before the groups are multiplied together.  In a
+    compatible tower every Frobenius power keeps an element's minimal level,
+    so a multiset closed under a power of Frobenius is closed level by level,
+    and every group's product already lies in the field the whole product
+    lies in.
+    """
+    groups = {}
+    for lam, mult in roots:
+        lam = field.canonical(lam)
+        groups.setdefault(lam.level, []).append(LaurentPoly(field, 0, (-lam, field.one)) ** mult)
+    if not groups:
+        return LaurentPoly.one(field)
+    return reduce(mul, (compressed(reduce(mul, group)) for group in groups.values()))
 
 
 def star_of_prime(lam):

@@ -14,6 +14,7 @@ from dihedral.algebra import (
     unipotent_unit,
 )
 from dihedral.classification import (
+    _prime_product,
     classify,
     classify_idempotent,
     coefficient_level,
@@ -310,3 +311,15 @@ def test_verify_witness_lets_bugs_propagate(F7, monkeypatch):
     monkeypatch.setattr(AlgebraElement, "__mul__", broken)
     with pytest.raises(InternalInconsistency):
         verify_witness(u0, res)
+
+
+def test_prime_product_refuses_a_multiset_not_closed_under_frobenius(F7):
+    lam = F7.generator(2)
+    lam_p = F7.frobenius(lam)
+    whole = _prime_product(F7, RootMultiset([(lam, 2), (lam_p, 2)]), 1)
+    assert all(c.level == 1 for c in whole.coeffs)
+    # at step 2 a lone level-2 root is its own orbit
+    assert _prime_product(F7, RootMultiset([(lam, 1)]), 2).degree == 1
+    for roots in ([(lam, 1)], [(lam, 1), (lam_p, 2)]):  # a missing image, uneven counts
+        with pytest.raises(InternalInconsistency, match="not closed under the subfield Frobenius"):
+            _prime_product(F7, RootMultiset(roots), 1)

@@ -1,11 +1,14 @@
 """Laurent polynomial arithmetic, the star map, units, and factorization."""
 
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
 
 from dihedral.errors import DivisionByZero, NotAUnit, NotSplitOverField
-from dihedral.laurent import LaurentPoly, star_of_prime
+from dihedral.fields import FieldSpec, RootMultiset, make_field
+from dihedral.laurent import LaurentPoly, prime_product, star_of_prime
 
 from conftest import POWERS, repeated_product
 
@@ -147,6 +150,40 @@ def test_factor_with_extension_roots(F5):
     fac = lp.factor_linear()
     assert fac.reassemble() == lp
     assert all(F5.canonical(r).level == 2 for r, _ in fac.primes)
+
+
+def test_reassemble_stays_below_the_level_bound():
+    # irreducible factors of degrees 7 and 10 have roots at levels 7 and 10;
+    # multiplied level by level they never need level lcm(7, 10) = 70
+    field = make_field(FieldSpec.prime_closure(3, 10))
+    moduli = (field._kernel(d).modulus.tolist() for d in (7, 10))  # irreducible over F_3
+    lp = reduce(mul, (LaurentPoly(field, 0, [field.from_int(c) for c in m]) for m in moduli))
+    fac = lp.factor_linear()
+    assert sorted({r.level for r, _ in fac.primes}) == [7, 10]
+    assert fac.reassemble() == lp
+
+
+@pytest.mark.parametrize("field_name", ["F7", "Q"])
+def test_prime_product_star_is_the_product_of_starred_primes(request, field_name):
+    field = request.getfixturevalue(field_name)
+    t = LaurentPoly.t_power(field, 1)
+    if field_name == "Q":
+        roots = [(field.from_fraction(-2, 3), 2), (field.from_int(5), 1), (field.from_int(-1), 3)]
+    else:
+        lam = field.generator(2)
+        roots = [(field.from_int(3), 2), (lam, 1), (field.frobenius(lam), 1), (lam + field.one, 2)]
+    product = prime_product(field, RootMultiset(roots))
+    starred = [(t - LaurentPoly.const(field, r)).star() ** m for r, m in roots]
+    assert product.star() == reduce(mul, starred)
+    assert product == reduce(mul, [(t - LaurentPoly.const(field, r)) ** m for r, m in roots])
+    assert prime_product(field, RootMultiset.empty()) == LaurentPoly.one(field)
+
+
+def test_prime_product_lands_at_the_minimal_level(F7):
+    # a whole Frobenius orbit at level 2 multiplies out to a level-1 polynomial
+    lam = F7.generator(2)
+    product = prime_product(F7, RootMultiset([(lam, 2), (F7.frobenius(lam), 2), (F7.one, 1)]))
+    assert [c.level for c in product.coeffs] == [1] * 6
 
 
 def test_rational_factor_honesty(Q):

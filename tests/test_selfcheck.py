@@ -1,5 +1,6 @@
 """The invariant suites themselves: reporting, determinism, honest skips."""
 
+from dihedral.fields import FieldSpec, make_field
 from dihedral.selfcheck import SuiteReport, run_selftest
 
 
@@ -47,10 +48,17 @@ def test_rationals_skip_what_cannot_split(Q):
 
 
 def test_factorization_past_the_level_bound_is_skipped(F7):
-    # at degree bound 8, reassembling primes from unrelated levels (here 10
-    # and 7) needs a level past 64; such rounds are skipped, not fatal
-    reports = run_selftest(F7, seed=1, iterations=5, degree_bound=8)
-    for rep in reports:
+    # at degree bound 8 the roots reach levels 7 and 10; reassembled level by
+    # level they never need the lcm of unrelated levels, so under the default
+    # bound every round is checked, while under bound 8 the roots past level 8
+    # cannot be found and those rounds are skipped, not fatal
+    unbounded = run_selftest(F7, seed=1, iterations=5, degree_bound=8)
+    bounded = run_selftest(
+        make_field(FieldSpec.prime_closure(7, 8)), seed=1, iterations=5, degree_bound=8
+    )
+    for rep in (*unbounded, *bounded):
         assert rep.passed(), (rep.name, rep.failures[:3])
-    by_name = {r.name: r for r in reports}
-    assert by_name["factorization"].skipped >= 1
+    unbounded_fac = {r.name: r for r in unbounded}["factorization"]
+    bounded_fac = {r.name: r for r in bounded}["factorization"]
+    assert (unbounded_fac.checks, unbounded_fac.skipped) == (10, 0)  # two checks a round
+    assert bounded_fac.skipped >= 1
