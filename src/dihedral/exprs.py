@@ -17,6 +17,11 @@ MAX_NESTING open parentheses and unary minus signs, counted together, may
 enclose any point of the input, so parsing and evaluation stay well inside
 Python's recursion limit.  Parse errors carry the offset at which the input
 stopped making sense.
+
+Evaluation does closed-form work where it can: t^k is built as the monomial
+t^k whatever k is, with no inverse and no powering; a sum collects the terms
+of all its parts into one Laurent polynomial per half; and a product with a
+one-term factor is a shift and a scale (LaurentPoly.__mul__).
 """
 
 from dataclasses import dataclass
@@ -25,6 +30,7 @@ from operator import mul
 
 from .algebra import AlgebraElement
 from .errors import NonUnitPower, NotInvertible, ParseError
+from .laurent import LaurentPoly
 
 
 # ---- syntax tree ----
@@ -233,7 +239,8 @@ def eval_expression(node, field):
 
     Integer scalars map through the characteristic; '/' multiplies by a
     field inverse and raises DivisionByZero when the denominator vanishes
-    there.  A negative power of a non-unit raises NonUnitPower.
+    there.  t^k is the monomial itself; other powers go through algebra
+    powering, and a negative power of a non-unit raises NonUnitPower.
     """
     if isinstance(node, ScalarLiteral):
         c = field.from_int(node.num)
@@ -251,13 +258,16 @@ def eval_expression(node, field):
     if isinstance(node, Neg):
         return -eval_expression(node.arg, field)
     if isinstance(node, Sum):
-        out = AlgebraElement.zero(field)
-        for part in node.parts:
-            out = out + eval_expression(part, field)
-        return out
+        parts = [eval_expression(part, field) for part in node.parts]
+        return AlgebraElement(
+            LaurentPoly.from_terms(field, [term for x in parts for term in x.f.terms()]),
+            LaurentPoly.from_terms(field, [term for x in parts for term in x.g.terms()]),
+        )
     if isinstance(node, Product):
         return reduce(mul, (eval_expression(part, field) for part in node.parts))
     if isinstance(node, Power):
+        if node.base == Generator("t"):
+            return AlgebraElement(LaurentPoly.t_power(field, node.exponent), LaurentPoly.zero(field))
         base = eval_expression(node.base, field)
         try:
             return base ** node.exponent

@@ -590,6 +590,11 @@ class RationalField:
     characteristic = 0
     splits_everything = False
 
+    def __init__(self):
+        # one element each, shared like PrimeClosureField's small residues
+        self.zero = RationalElement(self, Fraction(0))
+        self.one = RationalElement(self, Fraction(1))
+
     def describe(self):
         return "q"
 
@@ -600,14 +605,6 @@ class RationalField:
         if den == 0:
             raise DivisionByZero("zero denominator")
         return RationalElement(self, Fraction(num, den))
-
-    @property
-    def zero(self):
-        return RationalElement(self, Fraction(0))
-
-    @property
-    def one(self):
-        return RationalElement(self, Fraction(1))
 
     def random_element(self, rng, level=1):
         return RationalElement(self, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))

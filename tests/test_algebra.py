@@ -48,6 +48,21 @@ def test_multiplication_law(F7):
         assert prod.g == A.f.star() * B.g + A.g * B.f
 
 
+@pytest.mark.parametrize("field_name", ["F7", "Q"])
+def test_presentation_identities(request, field_name):
+    # s (f + s g) = g + s f  and  t^m (f + s g) = t^m f + s t^-m g
+    field = request.getfixturevalue(field_name)
+    rng = random.Random(6)
+    s = AlgebraElement.s(field)
+    zero = LaurentPoly.zero(field)
+    for _ in range(20):
+        x = random_element(field, rng, 3)
+        assert s * x == AlgebraElement(x.g, x.f)
+        for m in (-3, -1, 0, 1, 4):
+            tm = AlgebraElement(LaurentPoly.t_power(field, m), zero)
+            assert tm * x == AlgebraElement(x.f.shift(m), x.g.shift(-m))
+
+
 def test_iota_is_a_homomorphism(F7):
     rng = random.Random(3)
 

@@ -1,12 +1,15 @@
 """Expression grammar: parsing, evaluation, and the print round trip."""
 
 import random
+from functools import reduce
+from operator import add, mul
 
 import pytest
 
 from dihedral.algebra import AlgebraElement, random_element, to_idempotent
-from dihedral.errors import DivisionByZero, NonUnitPower, ParseError
+from dihedral.errors import DivisionByZero, NonUnitPower, NotInvertible, ParseError
 from dihedral.exprs import (
+    GENERATORS,
     Generator,
     Neg,
     Power,
@@ -17,6 +20,7 @@ from dihedral.exprs import (
     evaluate,
     parse_expression,
 )
+from dihedral.fields import RationalElement, TowerElement
 
 
 def test_canonical_idempotent_expression(Q):
@@ -104,7 +108,7 @@ def test_any_text_parses_or_reports_an_offset():
     """Every string over the grammar's characters, plus three it rejects, either
     parses or raises ParseError at an offset inside the string (or at its end).
 
-    Only parsing is tried: evaluation has no cost budget yet (ROADMAP item 3),
+    Only parsing is tried: evaluation has no cost budget yet (ROADMAP item 6),
     so a short input such as (1+t)^99999 could run for minutes.
     """
     hypothesis = pytest.importorskip("hypothesis")
@@ -191,3 +195,108 @@ def test_whitespace_insensitive(Q):
     a = evaluate(" ( 1 - a ) / 2 ", Q)
     b = evaluate("(1-a)/2", Q)
     assert a == b
+
+
+def render(node):
+    """Source text for a syntax tree, every compound part in parentheses."""
+    if isinstance(node, ScalarLiteral):
+        return str(node.num) if node.den == 1 else f"({node.num}/{node.den})"
+    if isinstance(node, Generator):
+        return node.name
+    if isinstance(node, Neg):
+        return f"-({render(node.arg)})"
+    if isinstance(node, Sum):
+        return "(" + " + ".join(map(render, node.parts)) + ")"
+    if isinstance(node, Product):
+        return "(" + "*".join(map(render, node.parts)) + ")"
+    return f"({render(node.base)})^{node.exponent}"
+
+
+def fold(node, field):
+    """The value of a syntax tree by plain AlgebraElement arithmetic."""
+    s, t = AlgebraElement.s(field), AlgebraElement.t(field)
+    if isinstance(node, ScalarLiteral):
+        return AlgebraElement.from_scalar(field.from_int(node.num) / field.from_int(node.den))
+    if isinstance(node, Generator):
+        return {"a": s, "b": s * t, "s": s, "t": t}[node.name]
+    if isinstance(node, Neg):
+        return -fold(node.arg, field)
+    if isinstance(node, Sum):
+        return reduce(add, (fold(part, field) for part in node.parts))
+    if isinstance(node, Product):
+        return reduce(mul, (fold(part, field) for part in node.parts))
+    base = fold(node.base, field)
+    try:
+        return base ** node.exponent
+    except NotInvertible as exc:
+        raise NonUnitPower(str(exc)) from exc
+
+
+def outcome(compute):
+    try:
+        x = compute()
+    except (DivisionByZero, NonUnitPower) as exc:
+        return type(exc)
+    return x, str(x)
+
+
+def test_evaluation_is_the_algebra_fold(F7, Q):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    leaves = st.one_of(
+        st.builds(ScalarLiteral, st.integers(0, 20), st.integers(1, 20)),
+        st.sampled_from(GENERATORS).map(Generator),
+    )
+
+    def trees(depth):
+        if depth == 0:
+            return leaves
+        sub = trees(depth - 1)
+        parts = st.lists(sub, min_size=2, max_size=3).map(tuple)
+        return st.one_of(
+            leaves,
+            sub.map(Neg),
+            parts.map(Sum),
+            parts.map(Product),
+            st.builds(Power, sub, st.integers(-12, 12)),
+        )
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @hypothesis.given(trees(3))
+    def check(tree):
+        src = render(tree)
+        assert parse_expression(src) == tree
+        for field in (F7, Q):
+            assert outcome(lambda: evaluate(src, field)) == outcome(lambda: fold(tree, field)), src
+
+    check()
+
+
+@pytest.fixture
+def element_ops(monkeypatch):
+    """Counts of coefficient multiplications and inversions, for both fields' elements."""
+    counts = {"mul": 0, "inv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for cls in (TowerElement, RationalElement):
+        monkeypatch.setattr(cls, "__mul__", counted("mul", cls.__mul__))
+        monkeypatch.setattr(cls, "inv", counted("inv", cls.inv))
+    return counts
+
+
+def test_monomial_evaluation_takes_constant_work(F7, Q, element_ops):
+    for field in (F7, Q):
+        for template in ("t^{}", "3*t^{}", "s*(3*t^{})"):
+            seen = set()
+            for k in (1, -1, 1000, -1000, 10**6, -(10**6)):
+                element_ops.update(mul=0, inv=0)
+                evaluate(template.format(k), field)
+                seen.add((element_ops["mul"], element_ops["inv"]))
+            assert len(seen) == 1, (field.describe(), template, seen)
+            assert seen.pop()[1] == 0

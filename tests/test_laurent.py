@@ -199,3 +199,42 @@ def test_rational_factor_honesty(Q):
 def test_zero_polynomial_has_no_factorization(F7):
     with pytest.raises(ValueError):
         LaurentPoly.zero(F7).factor_linear()
+
+
+def schoolbook(x, y):
+    """x * y by the double loop over all coefficient pairs, zeros skipped."""
+    field = x.field
+    if x.is_zero or y.is_zero:
+        return LaurentPoly.zero(field)
+    out = [field.zero] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            if not a.is_zero() and not b.is_zero():
+                out[i + j] = out[i + j] + a * b
+    return LaurentPoly(field, x.val + y.val, out)
+
+
+def printed(x):
+    """The offset, every stored coefficient as printed (zeros and levels too), and x itself."""
+    return x.val, [repr(c) for c in x.coeffs], repr(x)
+
+
+@pytest.mark.parametrize(
+    "field_name, poly_level, mono_level",
+    [("F7", 1, 1), ("F7", 2, 1), ("F7", 1, 2), ("F7", 2, 2), ("Q", 1, 1)],
+)
+def test_one_term_product_is_the_schoolbook_product(request, field_name, poly_level, mono_level):
+    field = request.getfixturevalue(field_name)
+    rng = random.Random(17)
+    zero = LaurentPoly.zero(field)
+    for _ in range(30):
+        # interior coefficients may be zero, at level 2 too
+        coeffs = [field.random_element(rng, poly_level) for _ in range(rng.randint(1, 6))]
+        x = LaurentPoly(field, rng.randint(-4, 4), coeffs)
+        c = field.random_element(rng, mono_level)
+        if c.is_zero():
+            continue
+        m = LaurentPoly.t_power(field, rng.randint(-5, 5), c)
+        for a, b in ((m, x), (x, m), (m, m), (zero, x), (x, zero), (zero, m)):
+            assert printed(a * b) == printed(schoolbook(a, b)), (a, b)
+            assert a * b == schoolbook(a, b)
