@@ -119,10 +119,6 @@ class Kernel:
             pows.append((self.frob_matrix() @ pows[-1]) % self.p)
         return (pows[k] @ a) % self.p
 
-    def e_pth_root(self, a):
-        # Frobenius has order d, so its inverse is d-1 more applications
-        return self.e_frob(a, self.d - 1)
-
     def gen_vec(self):
         v = np.zeros(self.d, dtype=np.int64)
         if self.d > 1:
@@ -314,22 +310,6 @@ class Kernel:
             if bit == "1":
                 acc = mulmod(acc, base)
         return self.trim(np.ascontiguousarray(acc.reshape(n, W)[:, :d]))
-
-    def p_deriv(self, A):
-        if len(A) <= 1:
-            return self.zero_poly
-        ks = (np.arange(1, len(A)) % self.p).reshape(-1, 1)
-        return self.trim((A[1:] * ks) % self.p)
-
-    def p_div_linear(self, A, r):
-        # exact division by (x - r); returns (quotient, remainder element)
-        n = len(A) - 1
-        Q = np.zeros((max(n, 0), self.d), dtype=np.int64)
-        acc = A[n].copy()
-        for i in range(n - 1, -1, -1):
-            Q[i] = acc
-            acc = (self.e_mul(acc, r) + A[i]) % self.p
-        return self.trim(Q), acc
 
     def x_poly(self):
         out = np.zeros((2, self.d), dtype=np.int64)

@@ -281,7 +281,7 @@ def _complement(x, in_I):
 # ---- parameter extraction ----
 
 
-def extract_eps_theta(fac_one_plus_f, fac_g, in_I, field, step=1):
+def extract_eps_theta(fac_one_plus_f, fac_g, in_I, field, step):
     """(eps, theta, gamma, l) from the factorizations and the I choice.
 
     gamma t^l is the unit of g relative to the mixed prime product; the
@@ -306,7 +306,7 @@ def extract_eps_theta(fac_one_plus_f, fac_g, in_I, field, step=1):
 # ---- witness assembly ----
 
 
-def build_witness(u, fac_one_plus_f, fac_g, in_I, eps, theta, l, field, step=1):
+def build_witness(u, fac_one_plus_f, fac_g, in_I, eps, theta, l, field, step):
     """The conjugator nu with nu^-1 u nu = eps s t^theta, plus its g1, g2.
 
     Both halves of the split are rebuilt from the factor data and checked
@@ -390,7 +390,7 @@ def _monic_gcd(field, a, b):
 # ---- top level ----
 
 
-def classify(u, check=True):
+def classify(u):
     """The conjugacy class of an involution, with a conjugating witness.
 
     The label and the witness come from gcd_split, which works over the
@@ -400,7 +400,7 @@ def classify(u, check=True):
     they are first read.
     """
     field = u.field
-    if check and not u.is_involution():
+    if not u.is_involution():
         raise NotInvolution(f"{u} does not square to 1")
     one = AlgebraElement.one(field)
     if u == one:
@@ -442,13 +442,12 @@ def _root_details(u, fac_f, fac_g):
     )
 
 
-def classify_idempotent(r, check=True):
+def classify_idempotent(r):
     """Classify an idempotent through the involution 2r - 1."""
     from .algebra import check_idempotent, to_involution
 
-    if check:
-        check_idempotent(r)
-    return classify(to_involution(r), check=False)
+    check_idempotent(r)
+    return classify(to_involution(r))
 
 
 def verify_witness(u, result):

@@ -15,8 +15,10 @@ Elements are immutable and exact: residue vectors for the tower, Fraction for
 the rationals.  Both fields' roots(coeffs) take a polynomial as the sequence
 of its coefficients, lowest degree first, with a nonzero last entry, and
 return a RootMultiset.  Root finding over the tower always succeeds up to the
-configured degree bound (squarefree split, then distinct-degree, then
-equal-degree descent); over the rationals only rational roots are found and
+configured degree bound: one distinct-degree pass splits the monic input by
+factor degree and multiplicity, then equal-degree descent finds the roots.  The
+moduli are chosen by Ben-Or's irreducibility test, which runs on the same
+distinct-degree gcds.  Over the rationals only rational roots are found and
 anything else raises NotSplitOverField.  Rational roots are found on integer
 coefficients: candidates r/s come from the divisors of the constant and leading
 coefficients; s | lead, r | const, (s - r) | F(1) and (s + r) | F(-1), all on the
@@ -361,12 +363,8 @@ class PrimeClosureField:
                 self.ensure_level(f)
             kern = Kernel(self.p, self._find_modulus(d))
             pending = {}
-            if d > 1:
-                E1 = np.zeros((d, 1), dtype=np.int64)
-                E1[0, 0] = 1
-                pending[(1, d)] = E1
-                for f in _divisors(d)[1:-1]:
-                    pending[(f, d)] = self._choose_embedding(f, d, kern, pending)
+            for f in _divisors(d)[:-1]:
+                pending[(f, d)] = self._choose_embedding(f, d, kern, pending)
             self._levels[d] = kern
             self._emb.update(pending)
 
@@ -389,18 +387,14 @@ class PrimeClosureField:
             k += 1
 
     def _is_irreducible(self, coeffs):
+        # Ben-Or: monic M of degree d is irreducible iff gcd(x^(p^k) - x, M) = 1
+        # for every k <= d/2; a factor of least degree k shows up at that k
         kern1 = self._levels[1]
-        d = len(coeffs) - 1
         M = kern1.p_from_rows([[c] for c in coeffs])
-        x = kern1.x_poly()
-        # x^(p^d) == x mod M, and gcd(x^(p^(d/q)) - x, M) = 1 for prime q | d
-        xq = kern1.p_powmod(x, self.p**d, M)
-        if kern1.p_sub(xq, x).size:
-            return False
-        for q in _prime_factors(d):
-            xe = kern1.p_powmod(x, self.p ** (d // q), M)
-            g = kern1.p_gcd(kern1.p_sub(xe, x), M)
-            if kern1.deg(g) != 0:
+        x = r = kern1.x_poly()
+        for _ in range((len(coeffs) - 1) // 2):
+            r = kern1.p_powmod(r, self.p, M)
+            if kern1.deg(kern1.p_gcd(kern1.p_sub(r, x), M)) != 0:
                 return False
         return True
 
@@ -545,21 +539,20 @@ class PrimeClosureField:
             A = kern.p_monic(A)
             seed = zlib.crc32(rows.tobytes()) ^ (self.p << 8) ^ base
             rng = Random(seed)
-            for sq, mult in _squarefree_parts(kern, A):
-                for part, k in _distinct_degree_parts(kern, sq, self.p, base):
-                    lvl = base * k
-                    if lvl > self.max_level:
-                        raise LevelOverflow(
-                            f"a degree-{k} factor needs level {lvl} > bound {self.max_level}"
-                        )
-                    kern_t = self._kernel(lvl)
-                    if lvl == base:
-                        Wt = part
-                    else:
-                        E = self._emb[(base, lvl)]
-                        Wt = (part @ E.T) % self.p
-                    for r in _split_roots(kern_t, Wt, base, rng):
-                        entries.append((self._elt(lvl, r), mult))
+            for part, k, mult in _distinct_degree_parts(kern, A, self.p, base):
+                lvl = base * k
+                if lvl > self.max_level:
+                    raise LevelOverflow(
+                        f"a degree-{k} factor needs level {lvl} > bound {self.max_level}"
+                    )
+                kern_t = self._kernel(lvl)
+                if lvl == base:
+                    Wt = part
+                else:
+                    E = self._emb[(base, lvl)]
+                    Wt = (part @ E.T) % self.p
+                for r in _split_roots(kern_t, Wt, base, rng):
+                    entries.append((self._elt(lvl, r), mult))
         return RootMultiset(entries)
 
     # ---- polynomial division ----
@@ -720,55 +713,36 @@ def _exact_quotient(F, s, x):
 # ---- factoring machinery over the tower (kernel-level) ----
 
 
-def _squarefree_parts(kern, A):
-    """Monic A -> [(factor, multiplicity)], factors squarefree and coprime."""
-    p = kern.p
-    out = []
-    deriv = kern.p_deriv(A)
-    if kern.deg(kern.trim(deriv)) < 0:
-        c = A
-        w = kern.one_poly
-    else:
-        c = kern.p_gcd(A, deriv)
-        w = kern.p_divmod(A, c)[0]
-    i = 1
-    while kern.deg(w) > 0:
-        y = kern.p_gcd(w, c)
-        z = kern.p_divmod(w, y)[0]
-        if kern.deg(z) > 0:
-            out.append((z, i))
-        i += 1
-        w = y
-        c = kern.p_divmod(c, y)[0]
-    if kern.deg(c) > 0:
-        # c is a p-th power: all exponents divisible by p
-        rows = []
-        for j in range(0, len(c), p):
-            rows.append(kern.e_pth_root(c[j]))
-        v = kern.trim(np.array(rows, dtype=np.int64))
-        for h, j in _squarefree_parts(kern, v):
-            out.append((h, j * p))
-    return out
-
-
 def _distinct_degree_parts(kern, A, p, base):
-    """Squarefree monic A over F_{p^base} -> [(product of its degree-k irreducibles, k)]."""
+    """Monic A over F_{p^base} -> [(part, k, multiplicity)].
+
+    part is the product of A's distinct degree-k irreducible factors of that
+    multiplicity.  g = gcd(x^(q^k) - x, h) is squarefree whatever h is, and
+    once every factor of degree below k is gone it holds each degree-k factor
+    once; dividing g out of h again and again peels the multiplicities.  What
+    is left of degree below 2(k+1) is one irreducible factor, counted once.
+    """
     q = p**base
     out = []
     h = A
-    x = kern.x_poly()
-    r = x
+    x = r = kern.x_poly()
     k = 0
     while kern.deg(h) > 2 * (k + 1) - 1:
         k += 1
         r = kern.p_powmod(r, q, h)
         g = kern.p_gcd(kern.p_sub(r, x), h)
-        if kern.deg(g) > 0:
-            out.append((g, k))
+        mult = 0
+        while kern.deg(g) > 0:
+            mult += 1
             h = kern.p_divmod(h, g)[0]
-            r = kern.p_mod(r, h)
+            more = kern.p_gcd(g, h)
+            part = kern.p_divmod(g, more)[0]
+            if kern.deg(part) > 0:
+                out.append((part, k, mult))
+            g = more
+        r = kern.p_mod(r, h)
     if kern.deg(h) > 0:
-        out.append((h, kern.deg(h)))
+        out.append((h, kern.deg(h), 1))
     return out
 
 
@@ -792,7 +766,7 @@ def _split_roots(kern, W, frob_step, rng):
             orbit.append(cur)
             cur = kern.e_frob(cur, frob_step)
         for rho in orbit:
-            C, rem = kern.p_div_linear(C, rho)
+            C, rem = kern.p_divmod(C, np.stack([(-rho) % kern.p, kern.e_one]))
             if rem.any():
                 raise InternalInconsistency("orbit member is not a root")
         roots.extend(orbit)
@@ -816,13 +790,9 @@ def _find_root(kern, C, rng):
         V = kern.p_sub(V, kern.one_poly)
         D = kern.p_gcd(V, C)
         if 0 < kern.deg(D) < kern.deg(C):
-            C = _smaller_half(kern, C, D)
+            other = kern.p_divmod(C, D)[0]
+            C = D if kern.deg(D) <= kern.deg(other) else other
     return (-C[0]) % p
-
-
-def _smaller_half(kern, C, D):
-    other = kern.p_divmod(C, D)[0]
-    return D if kern.deg(D) <= kern.deg(other) else other
 
 
 # ---- root multisets ----

@@ -1,9 +1,12 @@
 """Tower arithmetic, embeddings, Frobenius, and root finding."""
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dihedral.errors import (
@@ -178,6 +181,45 @@ def test_sort_key_orders_elements(F7):
     # keys are stable under re-embedding
     x = F7.random_element(rng, 2)
     assert F7.sort_key(x) == F7.sort_key(F7.embed(x, 4))
+
+
+def test_moduli_are_the_first_irreducible_candidates():
+    # _find_modulus scans monic candidates by the base-p digits of k = 0, 1, ...,
+    # constant coefficient first; sympy decides irreducibility independently
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for p in (3, 5, 7):
+        field = make_field(FieldSpec.prime_closure(p))
+        for d in range(1, 7):
+            for k in range(p**d):
+                cand = [k // p**i % p for i in range(d)] + [1]
+                expr = sum(c * x**i for i, c in enumerate(cand))
+                if sympy.Poly(expr, x, modulus=p).is_irreducible:
+                    break
+            assert field._kernel(d).modulus.tolist() == cand, (p, d)
+            if d > 1:  # F_p embeds as the constants: the unit column
+                unit = np.zeros((d, 1), dtype=np.int64)
+                unit[0, 0] = 1
+                assert np.array_equal(field._emb[(1, d)], unit), (p, d)
+
+
+# sha256 of every modulus and embedding matrix for p in (3, 5, 7, 101) at
+# levels 1..16: every coordinate above level 1 is written in these, so
+# printed roots and transcripts change whenever they do
+TOWER_DIGEST = "19ea69d4e25cbef3a7ab98887c04bd3e943eb19ef96fb836d12058d65ccdbd6d"
+
+
+def test_tower_construction_is_pinned():
+    h = hashlib.sha256()
+    for p in (3, 5, 7, 101):
+        field = make_field(FieldSpec.prime_closure(p, 16))
+        for d in range(1, 17):
+            field.ensure_level(d)
+        for d in range(1, 17):
+            h.update(json.dumps([p, d, field._levels[d].modulus.tolist()]).encode())
+        for key in sorted(field._emb):
+            h.update(json.dumps([p, list(key), field._emb[key].tolist()]).encode())
+    assert h.hexdigest() == TOWER_DIGEST
 
 
 def test_roots_of_split_polynomials(F7):

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from dihedral.errors import NotSplitOverField
-from dihedral.fields import FieldSpec, make_field
+from dihedral.fields import FieldSpec, RootMultiset, make_field
 
 from conftest import linear_product, poly_coeffs
 
@@ -139,3 +139,49 @@ def test_rational_roots_match_sympy_factorization():
             outcomes["split"] += 1
     # both outcomes are exercised
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def element_of_level(field, rng, level):
+    """A random element whose minimal tower level is exactly level."""
+    while True:
+        r = field.random_element(rng, level)
+        if field.canonical(r).level == level:
+            return r
+
+
+def test_roots_match_sympy_at_multiplicity_p():
+    # f^p has a vanishing derivative, so multiplicities p and p+1 must be
+    # peeled by exact division alone
+    x = sympy.Symbol("x")
+    for p in (3, 7):
+        field = make_field(FieldSpec.prime_closure(p))
+        rng = random.Random(4200 + p)
+        mults = set()
+        for _ in range(8):
+            expr = sympy.Integer(rng.randrange(1, p))
+            for _ in range(rng.randint(1, 2)):
+                deg = rng.randint(1, 3)
+                part = sum(rng.randrange(p) * x**i for i in range(deg)) + x**deg
+                expr *= part ** rng.choice((p, p + 1))
+            ints = [int(c) % p for c in sympy.Poly(sympy.expand(expr), x).all_coeffs()[::-1]]
+            ms = field.roots([field.from_int(n) for n in ints])
+            got = sorted(
+                (tuple(orbit_poly(field, orbit)), mult) for orbit, mult in frobenius_orbits(field, ms)
+            )
+            want = sympy_factors(ints, p)
+            assert got == want, (p, ints)
+            mults.update(m for _, m in want)
+        assert max(mults) >= p, (p, mults)
+
+    # level-2 coefficients: roots a^3, b^4 and a level-4 orbit over F_9, twice
+    field = make_field(FieldSpec.prime_closure(3))
+    rng = random.Random(4203)
+    a, b, c = (element_of_level(field, rng, lvl) for lvl in (2, 2, 4))
+    c9 = field.frobenius(field.frobenius(c))
+    built = [(a, 3), (b, 4), (c, 2), (c9, 2)]
+    poly = linear_product(field, [r for r, m in built for _ in range(m)])
+    assert max(field.canonical(co).level for co in poly.coeffs) == 2
+    fac = poly.factor_linear()
+    assert fac.reassemble() == poly
+    assert fac.primes == RootMultiset(built)
+    assert field.roots(poly_coeffs(poly)) == RootMultiset(built)
