@@ -48,6 +48,7 @@ class Kernel:
         self._frob = None
         self._frob_pows = [np.eye(d, dtype=np.int64)]
         self._ypow = None
+        self._reduction = (None, None)  # (modulus bytes, reduction_matrix)
 
     # ---- element ops: vectors of shape (d,) ----
 
@@ -275,7 +276,9 @@ class Kernel:
 
         Residues stay n = deg M rows long and packed at y-stride 2d-1 for the
         whole loop, and every product is reduced mod M by one precomputed
-        matrix, so the loop neither trims nor goes through p_mul.
+        matrix, so the loop neither trims nor goes through p_mul.  The matrix
+        of the last modulus is kept: Ben-Or's test and the distinct-degree
+        loop power modulo one modulus several times in a row.
         """
         if e == 0:
             return self.one_poly.copy()
@@ -284,7 +287,11 @@ class Kernel:
         if n <= 0:
             return self.zero_poly
         p, d, W = self.p, self.d, self.width
-        big = self.reduction_matrix(M)
+        key = M.tobytes()
+        cached = self._reduction
+        if cached[0] != key:
+            cached = self._reduction = (key, self.reduction_matrix(M))
+        big = cached[1]
         red = self.red
         base = np.zeros((n, W), dtype=np.int64)
         low = self.p_mod(A, M)

@@ -14,16 +14,18 @@ lcm level.
 Elements are immutable and exact: residue vectors for the tower, Fraction for
 the rationals.  Both fields' roots(coeffs) take a polynomial as the sequence
 of its coefficients, lowest degree first, with a nonzero last entry, and
-return a RootMultiset.  Root finding over the tower always succeeds up to the
-configured degree bound: one distinct-degree pass splits the monic input by
-factor degree and multiplicity, then equal-degree descent finds the roots.  The
-moduli are chosen by Ben-Or's irreducibility test, which runs on the same
-distinct-degree gcds.  Over the rationals only rational roots are found and
-anything else raises NotSplitOverField.  Rational roots are found on integer
-coefficients: candidates r/s come from the divisors of the constant and leading
-coefficients; s | lead, r | const, (s - r) | F(1) and (s + r) | F(-1), all on the
-current cofactor, discard most; survivors are divided out exactly, deflating,
-and once the degree is at most 2 the rest is closed form.
+return a RootMultiset; poly_mul(a, b) multiplies two such sequences, on plain
+int residues when every coefficient lies at level 1.  Root finding over the
+tower always succeeds up to the configured degree bound: one distinct-degree
+pass splits the monic input by factor degree and multiplicity, then
+equal-degree descent finds the roots.  The moduli are chosen by Ben-Or's
+irreducibility test, which runs on the same distinct-degree gcds.  Over the
+rationals only rational roots are found and anything else raises
+NotSplitOverField.  Rational roots are found on integer coefficients:
+candidates r/s come from the divisors of the constant and leading
+coefficients; s | lead, r | const, (s - r) | F(1) and (s + r) | F(-1), all on
+the current cofactor, discard most; survivors are divided out exactly,
+deflating, and once the degree is at most 2 the rest is closed form.
 """
 
 import threading
@@ -555,7 +557,25 @@ class PrimeClosureField:
                     entries.append((self._elt(lvl, r), mult))
         return RootMultiset(entries)
 
-    # ---- polynomial division ----
+    # ---- polynomial product and division ----
+
+    def poly_mul(self, a, b):
+        """Coefficients of (sum a[i] x^i) * (sum b[j] x^j), lowest degree first.
+
+        At level 1 the residues are multiplied as ints and each output is
+        reduced and wrapped once; the list is _schoolbook's, zeros included.
+        """
+        if all(c.level == 1 for c in a) and all(c.level == 1 for c in b):
+            rb = [c.coords[0] for c in b]
+            out = [0] * (len(a) + len(rb) - 1)
+            for i, c in enumerate(a):
+                x = c.coords[0]
+                if x:
+                    for j, y in enumerate(rb):
+                        out[i + j] += x * y
+            p, elt1 = self.p, self._elt1
+            return [elt1(s % p) for s in out]
+        return _schoolbook(self.zero, a, b)
 
     def poly_divmod(self, a, b):
         """Quotient and remainder of sum a[i] x^i by sum b[i] x^i.
@@ -609,6 +629,10 @@ class RationalField:
     def sort_key(self, x):
         return x.value
 
+    def poly_mul(self, a, b):
+        """Coefficients of (sum a[i] x^i) * (sum b[j] x^j), lowest degree first."""
+        return _schoolbook(self.zero, a, b)
+
     def poly_divmod(self, a, b):
         """Quotient and remainder of sum a[i] x^i by sum b[i] x^i (b's last entry nonzero)."""
         q, r = _poly_divmod([c.value for c in a], [c.value for c in b])
@@ -643,6 +667,18 @@ class RationalField:
                 f"irreducible factor of degree {len(F) - 1} remains over the rationals"
             )
         return RootMultiset([(RationalElement(self, r), m) for r, m in found])
+
+
+def _schoolbook(zero, a, b):
+    """The product's coefficient list by the loop over all pairs, zero entries skipped."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            if not y.is_zero():
+                out[i + j] = out[i + j] + x * y
+    return out
 
 
 def _poly_divmod(a, b):

@@ -149,26 +149,19 @@ class LaurentPoly:
     def __mul__(self, other):
         """The product; by a one-term factor c*t^m it is a shift by m and a scale by c.
 
-        Zero coefficients stay field.zero there, as in the schoolbook loop.
+        Zero coefficients stay field.zero there, as in the field's poly_mul,
+        which makes every other product.
         """
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return LaurentPoly.zero(self.field)
         field = self.field
-        z = field.zero
         if len(self.coeffs) == 1 or len(other.coeffs) == 1:
             mono, poly = (self, other) if len(self.coeffs) == 1 else (other, self)
-            c = mono.coeffs[0]
+            c, z = mono.coeffs[0], field.zero
             return LaurentPoly(field, self.val + other.val, [a * c if a else z for a in poly.coeffs])
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return LaurentPoly(field, self.val + other.val, out)
+        return LaurentPoly(field, self.val + other.val, field.poly_mul(self.coeffs, other.coeffs))
 
     def scale(self, c):
         return LaurentPoly(self.field, self.val, [a * c for a in self.coeffs])

@@ -1,6 +1,6 @@
 import pytest
 
-from dihedral.fields import FieldSpec, make_field
+from dihedral.fields import FieldSpec, RationalElement, TowerElement, make_field
 from dihedral.laurent import LaurentPoly
 
 
@@ -52,3 +52,22 @@ def F101():
 @pytest.fixture(scope="session")
 def Q():
     return make_field(FieldSpec.rationals())
+
+
+@pytest.fixture
+def element_ops(monkeypatch):
+    """Counts of coefficient multiplications, additions and inversions, for both fields' elements."""
+    counts = {"mul": 0, "add": 0, "inv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for cls in (TowerElement, RationalElement):
+        monkeypatch.setattr(cls, "__mul__", counted("mul", cls.__mul__))
+        monkeypatch.setattr(cls, "__add__", counted("add", cls.__add__))
+        monkeypatch.setattr(cls, "inv", counted("inv", cls.inv))
+    return counts

@@ -20,7 +20,6 @@ from dihedral.exprs import (
     evaluate,
     parse_expression,
 )
-from dihedral.fields import RationalElement, TowerElement
 
 
 def test_canonical_idempotent_expression(Q):
@@ -270,24 +269,6 @@ def test_evaluation_is_the_algebra_fold(F7, Q):
             assert outcome(lambda: evaluate(src, field)) == outcome(lambda: fold(tree, field)), src
 
     check()
-
-
-@pytest.fixture
-def element_ops(monkeypatch):
-    """Counts of coefficient multiplications and inversions, for both fields' elements."""
-    counts = {"mul": 0, "inv": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    for cls in (TowerElement, RationalElement):
-        monkeypatch.setattr(cls, "__mul__", counted("mul", cls.__mul__))
-        monkeypatch.setattr(cls, "inv", counted("inv", cls.inv))
-    return counts
 
 
 def test_monomial_evaluation_takes_constant_work(F7, Q, element_ops):

@@ -101,3 +101,38 @@ def test_p_divmod_identity(level):
             Q, R = kern.p_divmod(A, B)
             assert len(R) < len(B)
             assert np.array_equal(kern.p_sub(kern.trim(A), kern.p_mul(Q, B)), R)
+
+
+def test_powering_builds_one_reduction_matrix_per_modulus(monkeypatch):
+    # Ben-Or's loop powers modulo one irreducible candidate (d // 2 times)
+    d = 6
+    coeffs = make_field(FieldSpec.prime_closure(7))._kernel(d).modulus.tolist()
+    field = make_field(FieldSpec.prime_closure(7))
+    built = []
+    build = Kernel.reduction_matrix
+
+    def counted(kern, M):
+        built.append(len(M) - 1)
+        return build(kern, M)
+
+    monkeypatch.setattr(Kernel, "reduction_matrix", counted)
+    assert field._is_irreducible(coeffs)
+    assert built == [d]
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_powering_alternating_moduli_matches_fresh_kernels(level):
+    p = 7
+    modulus = make_field(FieldSpec.prime_closure(p))._kernel(level).modulus.tolist()
+    kern = Kernel(p, modulus)
+    rng = random.Random(level)
+
+    def rand_poly(n):
+        rows = [[rng.randrange(p) for _ in range(level)] for _ in range(n)]
+        return kern.p_from_rows(rows + [kern.e_one.tolist()])
+
+    moduli = [rand_poly(4), rand_poly(5)]
+    for i, which in enumerate((0, 1, 0, 0, 1, 1, 0, 1)):
+        A, e, M = rand_poly(rng.randrange(1, 8)), rng.randrange(1, 400), moduli[which]
+        got = kern.p_powmod(A, e, M)
+        assert np.array_equal(got, Kernel(p, modulus).p_powmod(A, e, M)), i

@@ -219,9 +219,14 @@ def printed(x):
     return x.val, [repr(c) for c in x.coeffs], repr(x)
 
 
+@pytest.fixture(scope="module")
+def F1048573():
+    return make_field(FieldSpec.prime_closure(1048573))
+
+
 @pytest.mark.parametrize(
     "field_name, poly_level, mono_level",
-    [("F7", 1, 1), ("F7", 2, 1), ("F7", 1, 2), ("F7", 2, 2), ("Q", 1, 1)],
+    [("F7", 1, 1), ("F7", 2, 1), ("F7", 1, 2), ("F7", 2, 2), ("Q", 1, 1), ("F1048573", 1, 1)],
 )
 def test_one_term_product_is_the_schoolbook_product(request, field_name, poly_level, mono_level):
     field = request.getfixturevalue(field_name)
@@ -232,9 +237,28 @@ def test_one_term_product_is_the_schoolbook_product(request, field_name, poly_le
         coeffs = [field.random_element(rng, poly_level) for _ in range(rng.randint(1, 6))]
         x = LaurentPoly(field, rng.randint(-4, 4), coeffs)
         c = field.random_element(rng, mono_level)
-        if c.is_zero():
+        d = field.random_element(rng, poly_level)
+        if c.is_zero() or d.is_zero():
             continue
         m = LaurentPoly.t_power(field, rng.randint(-5, 5), c)
-        for a, b in ((m, x), (x, m), (m, m), (zero, x), (x, zero), (zero, m)):
+        coeffs = [field.random_element(rng, mono_level) for _ in range(rng.randint(2, 6))]
+        y = LaurentPoly(field, rng.randint(-4, 4), coeffs)
+        # d*(1 + r*t + r^2*t^2) * c*(1 - r*t) = d*c*(1 - r^3*t^3): both interior
+        # coefficients cancel, and over F_p their residue sums are multiples of p
+        r = field.from_int(rng.randint(2, 6))
+        u = LaurentPoly(field, rng.randint(-4, 4), [d, d * r, d * r * r])
+        w = LaurentPoly(field, rng.randint(-4, 4), [c, -(c * r)])
+        assert [e.is_zero() for e in (u * w).coeffs] == [False, True, True, False]
+        pairs = ((m, x), (x, m), (m, m), (zero, x), (x, zero), (zero, m), (x, y), (y, x), (u, w))
+        for a, b in pairs:
             assert printed(a * b) == printed(schoolbook(a, b)), (a, b)
             assert a * b == schoolbook(a, b)
+
+
+def test_level_one_product_multiplies_residues(F7, element_ops):
+    x = LaurentPoly.from_int_terms(F7, {-2: 3, 0: 1, 1: 6, 3: 5})
+    y = LaurentPoly.from_int_terms(F7, {-1: 4, 0: 2, 2: 1})
+    element_ops.update(mul=0, add=0)
+    product = x * y
+    assert (element_ops["mul"], element_ops["add"]) == (0, 0)
+    assert printed(product) == printed(schoolbook(x, y))
