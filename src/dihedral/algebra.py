@@ -364,17 +364,14 @@ def random_unit(field, rng, degree_bound=3, num_factors=4):
     return out
 
 
-def random_involution(field, rng, degree_bound=3, num_factors=None, label=None, unit=None):
+def random_involution(field, rng, degree_bound=3, num_factors=None):
     """A conjugate v^-1 r v of a canonical involution; returns (element, label).
 
-    The label is the class of r, hence of the result.  Pass label/unit to pin
-    either choice; num_factors defaults to a random count up to 4.
+    The label is the class of r, hence of the result; num_factors defaults
+    to a random count up to 4.
     """
-    if label is None:
-        label = rng.choice(CanonicalInvolution.all_six())
-    if unit is None:
-        if num_factors is None:
-            num_factors = rng.randint(0, 4)
-        unit = random_unit(field, rng, degree_bound, num_factors)
-    r = label.element(field)
-    return conjugate(unit, r), label
+    label = rng.choice(CanonicalInvolution.all_six())
+    if num_factors is None:
+        num_factors = rng.randint(0, 4)
+    unit = random_unit(field, rng, degree_bound, num_factors)
+    return conjugate(unit, label.element(field)), label

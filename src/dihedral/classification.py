@@ -347,14 +347,15 @@ def gcd_split(one_plus_f, g):
     """(eps, theta, g1, g2) with g = g1 g2 and 1+f = eps t^-theta g1 g2*.
 
     g1 = eps t^a P with P = gcd(g, 1+f), taken over the field of the
-    coefficients (see the module docstring).  Raises InternalInconsistency
-    when 1+f and P (g/P)* differ by more than a sign and a power of t,
-    which cannot happen once g g* = (1+f)(1+f)* holds.
+    coefficients (see the module docstring); one field.poly_gcd call gives
+    P and g/P.  Raises InternalInconsistency when 1+f and P (g/P)* differ by
+    more than a sign and a power of t, which cannot happen once
+    g g* = (1+f)(1+f)* holds.
     """
     field = g.field
-    h = _monic_gcd(field, g.coeffs, one_plus_f.coeffs)
+    h, quot = field.poly_gcd(g.coeffs, one_plus_f.coeffs)
     P = LaurentPoly(field, 0, h)
-    cofactor = LaurentPoly(field, g.val, field.poly_divmod(g.coeffs, h)[0])  # g / P
+    cofactor = LaurentPoly(field, g.val, quot)  # g / P
     X = P * cofactor.star()
     dv = one_plus_f.val - X.val
     theta = dv % 2
@@ -377,14 +378,6 @@ def _sign(ratio, message, **context):
     if ratio == -one:
         return -1
     raise InternalInconsistency(message, context={k: repr(v) for k, v in context.items()})
-
-
-def _monic_gcd(field, a, b):
-    """The monic gcd of two coefficient lists, lowest degree first, with nonzero last entries."""
-    while b:
-        a, b = b, field.poly_divmod(a, b)[1]
-    lead_inv = a[-1].inv()
-    return [c * lead_inv for c in a]
 
 
 # ---- top level ----

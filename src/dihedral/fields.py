@@ -12,13 +12,14 @@ their canonical minimal-level forms) and arithmetic lifts both operands to the
 lcm level.
 
 Elements are immutable and exact: residue vectors for the tower, Fraction for
-the rationals.  Both fields' roots(coeffs) take a polynomial as the sequence
-of its coefficients, lowest degree first, with a nonzero last entry, and
-return a RootMultiset; poly_mul(a, b) multiplies two such sequences, on plain
-int residues when every coefficient lies at level 1.  Root finding over the
-tower always succeeds up to the configured degree bound: one distinct-degree
-pass splits the monic input by factor degree and multiplicity, then
-equal-degree descent finds the roots.  The moduli are chosen by Ben-Or's
+the rationals.  The polynomial protocol is three methods on coefficient
+sequences, lowest degree first, each with a nonzero last entry: roots(coeffs)
+returns a RootMultiset; poly_mul(a, b) multiplies, on plain int residues when
+every coefficient lies at level 1; poly_gcd(a, b) returns the monic gcd h and
+the quotient a / h, by the kernel's Euclid over the tower.  Root finding over
+the tower always succeeds up to the configured degree bound: one
+distinct-degree pass splits the monic input by factor degree and multiplicity,
+then equal-degree descent finds the roots.  The moduli are chosen by Ben-Or's
 irreducibility test, which runs on the same distinct-degree gcds.  Over the
 rationals only rational roots are found and anything else raises
 NotSplitOverField.  Rational roots are found on integer coefficients:
@@ -529,11 +530,7 @@ class PrimeClosureField:
         NotSplitOverField (the closure splits everything).
         """
         _check_coeffs(coeffs)
-        base = lcm(*(c.level for c in coeffs))
-        if base > self.max_level:
-            raise LevelOverflow(f"coefficients need level {base} > bound {self.max_level}")
-        kern = self._kernel(base)
-        rows = np.stack([self.embed(c, base)._vec() for c in coeffs])
+        base, kern, (rows,) = self._lift(coeffs)
         nzero = next(i for i, row in enumerate(rows) if row.any())
         entries = [(self.zero, nzero)] if nzero else []
         A = rows[nzero:]
@@ -557,7 +554,7 @@ class PrimeClosureField:
                     entries.append((self._elt(lvl, r), mult))
         return RootMultiset(entries)
 
-    # ---- polynomial product and division ----
+    # ---- polynomial product and gcd ----
 
     def poly_mul(self, a, b):
         """Coefficients of (sum a[i] x^i) * (sum b[j] x^j), lowest degree first.
@@ -577,19 +574,24 @@ class PrimeClosureField:
             return [elt1(s % p) for s in out]
         return _schoolbook(self.zero, a, b)
 
-    def poly_divmod(self, a, b):
-        """Quotient and remainder of sum a[i] x^i by sum b[i] x^i.
+    def poly_gcd(self, a, b):
+        """The monic gcd h of sum a[i] x^i and sum b[i] x^i, and the quotient a / h.
 
-        a and b are sequences of tower elements, lowest degree first; b's
-        last entry is nonzero.  The division runs on the kernel of the level
-        the coefficients generate, as roots() does, and never leaves it.
-        Both results are coefficient lists without trailing zeros.
+        Both are lifted once, as in roots(), and Kernel.p_gcd and p_divmod run
+        at the level their coefficients generate; h and a / h are lists there.
         """
-        level = lcm(*(c.level for c in a), *(c.level for c in b))
-        kern = self._kernel(level)
-        A, B = (np.array([self.embed(c, level).coords for c in x], dtype=np.int64) for x in (a, b))
-        Q, R = kern.p_divmod(A, B)
-        return self._coeff_list(level, Q), self._coeff_list(level, R)
+        level, kern, (A, B) = self._lift(a, b)
+        H = kern.p_gcd(A, B)
+        return self._coeff_list(level, H), self._coeff_list(level, kern.p_divmod(A, H)[0])
+
+    def _lift(self, *seqs):
+        """The level the coefficients of seqs generate, its kernel, and each seq's rows there."""
+        level = lcm(*(c.level for seq in seqs for c in seq))
+        if level > self.max_level:
+            raise LevelOverflow(f"coefficients need level {level} > bound {self.max_level}")
+        return level, self._kernel(level), [
+            np.array([self.embed(c, level).coords for c in seq], dtype=np.int64) for seq in seqs
+        ]
 
     def _coeff_list(self, level, A):
         if level == 1:
@@ -633,10 +635,15 @@ class RationalField:
         """Coefficients of (sum a[i] x^i) * (sum b[j] x^j), lowest degree first."""
         return _schoolbook(self.zero, a, b)
 
-    def poly_divmod(self, a, b):
-        """Quotient and remainder of sum a[i] x^i by sum b[i] x^i (b's last entry nonzero)."""
-        q, r = _poly_divmod([c.value for c in a], [c.value for c in b])
-        return [RationalElement(self, c) for c in q], [RationalElement(self, c) for c in r]
+    def poly_gcd(self, a, b):
+        """The monic gcd h of sum a[i] x^i and sum b[i] x^i, and a / h, by Euclid on Fractions."""
+        a = [c.value for c in a]
+        h, r = a, [c.value for c in b]
+        while r:
+            h, r = r, _poly_divmod(h, r)[1]
+        h = [c / h[-1] for c in h]
+        quot = _poly_divmod(a, h)[0]
+        return [RationalElement(self, c) for c in h], [RationalElement(self, c) for c in quot]
 
     def roots(self, coeffs):
         """Rational roots, with multiplicity, of sum coeffs[i] * x^i.

@@ -185,3 +185,109 @@ def test_roots_match_sympy_at_multiplicity_p():
     assert fac.reassemble() == poly
     assert fac.primes == RootMultiset(built)
     assert field.roots(poly_coeffs(poly)) == RootMultiset(built)
+
+
+# ---- poly_gcd against sympy's gcd and exact division ----
+
+
+def gcd_shapes(rand, const):
+    """(shape, a, b) sympy Polys, none monic; rand(deg) draws a poly of that degree."""
+    c, x, y, k = rand(2), rand(1), rand(3), const()
+    shapes = [
+        ("coprime", c * x, c * x + k),
+        ("b divides a", c * x, c),
+        ("a divides b", c, c * y),
+        ("repeated common factor", c**2 * x, c**3 * y),
+        ("degree-0 b", c * x, k + 0 * c),
+        ("equal up to a unit", c * y, c * y * k),
+    ]
+    return [(shape, *(2 * f if f.LC() == 1 else f for f in ab)) for shape, *ab in shapes]
+
+
+def sympy_gcd_cofactor(a, b):
+    """sympy's monic gcd h of a and b, and a / h, both with a zero remainder check."""
+    h = a.gcd(b).monic()
+    q, r = a.div(h)
+    assert r.is_zero
+    return h, q
+
+
+@pytest.mark.parametrize("p", [3, 7, 1048573])
+def test_poly_gcd_matches_sympy_over_gf_p(p):
+    field = make_field(FieldSpec.prime_closure(p))
+    x = sympy.Symbol("x")
+    rng = random.Random(4300 + p)
+
+    def rand(deg):
+        coeffs = [rng.randrange(2, p)] + [rng.randrange(p) for _ in range(deg)]
+        return sympy.Poly(coeffs, x, modulus=p)
+
+    def const():
+        return sympy.Poly([rng.randrange(2, p)], x, modulus=p)
+
+    def ints(poly):
+        return [int(c) % p for c in poly.all_coeffs()[::-1]]
+
+    def elements(poly):
+        return [field.from_int(n) for n in ints(poly)]
+
+    for _ in range(4):
+        for shape, a, b in gcd_shapes(rand, const):
+            assert ints(a)[-1] != 1 and ints(b)[-1] != 1, shape  # non-monic inputs
+            h, q = field.poly_gcd(elements(a), elements(b))
+            assert all(c.level == 1 for c in (*h, *q)), shape
+            want_h, want_q = sympy_gcd_cofactor(a, b)
+            assert [c.coords[0] for c in h] == ints(want_h), (shape, ints(a), ints(b))
+            assert [c.coords[0] for c in q] == ints(want_q), (shape, ints(a), ints(b))
+
+
+def test_poly_gcd_matches_sympy_over_q():
+    Q = make_field(FieldSpec.rationals())
+    x = sympy.Symbol("x")
+    rng = random.Random(4400)
+
+    def big():
+        # numerators and denominators above 10^8
+        sign = rng.choice((-1, 1))
+        return sympy.Rational(sign * rng.randint(10**8, 10**12), rng.randint(10**8, 10**12))
+
+    def rand(deg):
+        return sympy.Poly([big() for _ in range(deg + 1)], x, domain=sympy.QQ)
+
+    def const():
+        return sympy.Poly([big()], x, domain=sympy.QQ)
+
+    def fractions(poly):
+        return [Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()[::-1]]
+
+    def elements(poly):
+        return [Q.from_fraction(c.numerator, c.denominator) for c in fractions(poly)]
+
+    for _ in range(4):
+        for shape, a, b in gcd_shapes(rand, const):
+            assert fractions(a)[-1] != 1 and fractions(b)[-1] != 1, shape
+            h, q = Q.poly_gcd(elements(a), elements(b))
+            want_h, want_q = sympy_gcd_cofactor(a, b)
+            assert [c.value for c in h] == fractions(want_h), (shape, fractions(a), fractions(b))
+            assert [c.value for c in q] == fractions(want_q), (shape, fractions(a), fractions(b))
+
+
+def test_poly_gcd_at_level_2():
+    # a = k1 (t-r1)(t-r2)(t-r3) and b = k2 (t-r1)(t-r2)(t-r4) over F_49, so the
+    # monic gcd is (t-r1)(t-r2) and b's cofactor is known without dividing
+    field = make_field(FieldSpec.prime_closure(7))
+    rng = random.Random(4500)
+    roots = []
+    while len(roots) < 4:
+        r = element_of_level(field, rng, 2)
+        if all(r != s for s in roots):
+            roots.append(r)
+    k1, k2 = element_of_level(field, rng, 2), element_of_level(field, rng, 2)
+    common = linear_product(field, roots[:2])
+    a = (common * linear_product(field, roots[2:3])).scale(k1)
+    b = (common * linear_product(field, roots[3:])).scale(k2)
+    h, q = field.poly_gcd(poly_coeffs(a), poly_coeffs(b))
+    assert h == list(poly_coeffs(common))
+    assert field.poly_mul(h, q) == list(poly_coeffs(a))
+    assert field.poly_mul(h, poly_coeffs(linear_product(field, roots[3:]).scale(k2))) == list(poly_coeffs(b))
+    assert max(c.level for c in (*h, *q)) == 2
