@@ -167,11 +167,6 @@ class Kernel:
             c2 %= self.p
         return self.trim((c2[:, :d] + c2[:, d:] @ self.red) % self.p)
 
-    def p_scale(self, A, c):
-        if len(A) == 0 or not c.any():
-            return self.zero_poly
-        return self.p_mul(A, c.reshape(1, self.d))
-
     def ypow(self):
         # ypow()[j] is the matrix of multiplication by y^j
         if self._ypow is None:
@@ -237,7 +232,8 @@ class Kernel:
         lead = A[-1]
         if lead[0] == 1 and not lead[1:].any():
             return A
-        return self.p_scale(A, self.e_inv(lead))
+        # scaled as p_divmod scales B: the sums stay below d * p^2 < 2^46
+        return (A @ self.mul_rows(self.e_inv(lead))) % self.p
 
     def p_gcd(self, A, B):
         A, B = self.trim(A), self.trim(B)

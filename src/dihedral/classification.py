@@ -150,7 +150,7 @@ def transcript(u, result):
 
 
 def match_subset(x, y):
-    """The canonical sub-multiset of x assigned to I.
+    """The canonical sub-multiset of x assigned to I: enumerate_assignments' first.
 
     x holds the primes of 1+f, y those of g.  For each root lam the count
     taken as-is into I is max(0, y(lam) - x(1/lam)), which minimizes |I|
@@ -160,54 +160,25 @@ def match_subset(x, y):
     root lam of 1+f has f(lam) = -1, so skewness puts f(1/lam) = 1 and
     1/lam is never also a root of 1+f, collapsing every feasible range to
     a point.  (Self-paired roots are likewise absent then, since
-    (1+f)(+-1) = 1.)  Raises InternalInconsistency when no assignment can
-    reproduce y, which cannot happen once g g* = (1+f)(1+f)* holds.
+    (1+f)(+-1) = 1.)  Raises InternalInconsistency, with x and y in its
+    context, when no assignment can reproduce y, which cannot happen once
+    g g* = (1+f)(1+f)* holds.
     """
-    entries = []
-    for lam, x_lam in x:
-        inv = lam.inv()
-        if lam == inv:
-            entries.append((lam, x_lam))
-            continue
-        taken = max(0, y.multiplicity(lam) - x.multiplicity(inv))
-        if taken > x_lam:
-            raise InternalInconsistency(
-                "prime matching wants more copies than 1+f has",
-                context={"root": repr(lam), "have": x_lam, "want": taken},
-            )
-        if taken:
-            entries.append((lam, taken))
-    in_I = RootMultiset(entries)
-    _check_assignment(x, y, in_I)
-    return in_I
-
-
-def _check_assignment(x, y, in_I):
-    """Verify that I and its starred complement reproduce y exactly."""
-    support = {}
-    for lam, _ in (*x, *y):
-        support.setdefault(root_key(lam), lam)
-    for lam in support.values():
-        inv = lam.inv()
-        produced = in_I.multiplicity(lam) + (
-            x.multiplicity(inv) - in_I.multiplicity(inv)
-        )
-        if produced != y.multiplicity(lam):
-            raise InternalInconsistency(
-                "prime matching failed to reproduce the factors of g",
-                context={
-                    "root": repr(lam),
-                    "produced": produced,
-                    "needed": y.multiplicity(lam),
-                },
-            )
+    for in_I in enumerate_assignments(x, y):
+        return in_I
+    raise InternalInconsistency(
+        "prime matching cannot reproduce the factors of g",
+        context={"one_plus_f_primes": repr(x), "g_primes": repr(y)},
+    )
 
 
 def enumerate_assignments(x, y):
     """All feasible I sub-multisets, canonical choice first per pair.
 
-    Yields nothing when the multisets cannot be matched.  Used to confirm
-    that eps and theta do not depend on which feasible assignment is taken.
+    A feasible I reproduces y: I(lam) + x(1/lam) - I(1/lam) == y(lam) for
+    every root lam.  Yields nothing when the multisets cannot be matched.
+    The first is match_subset's; the rest confirm that eps and theta do not
+    depend on which feasible assignment is taken.
     """
     for lam, _ in y:
         if x.multiplicity(lam) == 0 and x.multiplicity(lam.inv()) == 0:
@@ -348,22 +319,25 @@ def gcd_split(one_plus_f, g):
 
     g1 = eps t^a P with P = gcd(g, 1+f), taken over the field of the
     coefficients (see the module docstring); one field.poly_gcd call gives
-    P and g/P.  Raises InternalInconsistency when 1+f and P (g/P)* differ by
-    more than a sign and a power of t, which cannot happen once
-    g g* = (1+f)(1+f)* holds.
+    P and g/P.  The valuation and leading coefficient of X = P (g/P)* are
+    read off g/P, so X is never formed.  Raises InternalInconsistency when
+    1+f and X differ by more than a sign and a power of t, which cannot
+    happen once g g* = (1+f)(1+f)* holds.
     """
     field = g.field
     h, quot = field.poly_gcd(g.coeffs, one_plus_f.coeffs)
     P = LaurentPoly(field, 0, h)
     cofactor = LaurentPoly(field, g.val, quot)  # g / P
-    X = P * cofactor.star()
-    dv = one_plus_f.val - X.val
+    # P is monic and P(0) != 0, as it divides g's body, so X = P (g/P)* has
+    # valuation -deg(g/P) and leading coefficient lowest(g/P)
+    dv = one_plus_f.val + cofactor.degree
     theta = dv % 2
     eps = _sign(
-        one_plus_f.coeffs[-1] / X.coeffs[-1],
+        one_plus_f.coeffs[-1] / cofactor.coeffs[0],
         "1+f and the split of g differ by a non-sign",
         one_plus_f=one_plus_f,
-        X=X,
+        P=P,
+        cofactor=cofactor,
     )
     a = (dv + theta) // 2
     eps_c = field.from_int(eps)

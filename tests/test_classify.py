@@ -239,6 +239,48 @@ def test_match_subset_infeasible(F7):
     assert list(enumerate_assignments(x, y)) == []
 
 
+def test_match_subset_reproduces_g_by_the_per_root_rule(F7):
+    # random multisets over F_7: the reciprocal pairs {2, 4} and {3, 5}, the
+    # self-paired +-1, and (in the unconstrained y) roots of g whose pair
+    # 1+f lacks.  Half the y are built feasible: an I inside x plus the
+    # star of the rest.
+    roots = [F7.from_int(k) for k in range(1, 7)]
+    rng = random.Random(15)
+    matched = refused = unpartnered = 0
+    for i in range(400):
+        x = RootMultiset([(lam, rng.randrange(3)) for lam in roots])
+        if i % 2:
+            taken = [(lam, rng.randrange(x.multiplicity(lam) + 1)) for lam in roots]
+            rest = [(lam.inv(), x.multiplicity(lam) - k) for lam, k in taken]
+            y = RootMultiset(taken + rest)
+        else:
+            y = RootMultiset([(lam, rng.randrange(3)) for lam in roots])
+        if any(x.multiplicity(lam) + x.multiplicity(lam.inv()) == 0 for lam, _ in y):
+            unpartnered += 1
+        feasible = list(enumerate_assignments(x, y))
+        try:
+            in_I = match_subset(x, y)
+        except InternalInconsistency as err:
+            assert feasible == [], i
+            assert err.context == {"one_plus_f_primes": repr(x), "g_primes": repr(y)}, i
+            refused += 1
+            continue
+        assert feasible, i
+        for lam in roots:
+            if x.multiplicity(lam) or y.multiplicity(lam):
+                inv = lam.inv()
+                produced = in_I.multiplicity(lam) + x.multiplicity(inv) - in_I.multiplicity(inv)
+                assert produced == y.multiplicity(lam), (i, lam)
+        rule = RootMultiset(
+            (lam, x_lam if lam == inv else max(0, y.multiplicity(lam) - x.multiplicity(inv)))
+            for lam, x_lam in x
+            for inv in (lam.inv(),)
+        )
+        assert in_I == rule, i
+        matched += 1
+    assert matched >= 150 and refused >= 100 and unpartnered >= 20
+
+
 def test_enumerate_assignments_sees_ambiguity(F7):
     # off the involution locus reciprocal pairs make the choice ambiguous
     lam = F7.from_int(3)

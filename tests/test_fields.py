@@ -168,6 +168,14 @@ def test_level_bound_enforced():
         field.ensure_level(0)
     with pytest.raises(BadLevel):
         field.element(2, (1,))
+    with pytest.raises(LevelOverflow):
+        field.element(3, (1, 2, 3))
+    x = field.element(2, (7 + 1, -1))
+    assert (x.level, x.coords) == (2, (1, 6))
+    y = field.element(1, (10,))
+    assert y.coords == (3,)
+    for a, b in ((y, field.from_int(5)), (x, y), (x, field.element(2, (4, 2)))):
+        assert a - b == a + (-b)
 
 
 def test_sort_key_orders_elements(F7):
@@ -281,6 +289,7 @@ def test_rational_field_basics(Q):
     assert Q.describe() == "q"
     x = Q.from_int(3) / Q.from_int(4)
     assert x + x == Q.from_int(3) / Q.from_int(2)
+    assert x - Q.from_int(2) == x + (-Q.from_int(2)) == Q.from_int(-5) / Q.from_int(4)
     assert (x ** -1) * x == Q.one
     assert Q.characteristic == 0
     with pytest.raises(DivisionByZero):

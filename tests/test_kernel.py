@@ -103,6 +103,24 @@ def test_p_divmod_identity(level):
             assert np.array_equal(kern.p_sub(kern.trim(A), kern.p_mul(Q, B)), R)
 
 
+@pytest.mark.parametrize("p", [7, BIG_P])
+def test_p_monic_scales_by_the_inverse_lead(p):
+    # entries of p - 1 push the scaling sums towards their d * p^2 bound
+    field = make_field(FieldSpec.prime_closure(p, 4))
+    rng = random.Random(p)
+    for level in (1, 2, 3, 4):
+        kern = field._kernel(level)
+        for trial in range(10):
+            rows = [[p - 1] * level] + [[rng.randrange(p) for _ in range(level)] for _ in range(3)]
+            lead = [rng.randrange(1, p) for _ in range(level)]
+            rows.append([p - 1] * level if trial == 0 else lead)
+            A = kern.p_from_rows(rows)
+            got = kern.p_monic(A)
+            assert got[-1].tolist() == kern.e_one.tolist(), (level, trial)
+            want = kern.p_mul(A, kern.e_inv(A[-1]).reshape(1, level))
+            assert np.array_equal(got, want), (level, trial)
+
+
 def test_powering_builds_one_reduction_matrix_per_modulus(monkeypatch):
     # Ben-Or's loop powers modulo one irreducible candidate (d // 2 times)
     d = 6

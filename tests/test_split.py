@@ -200,6 +200,27 @@ def test_split_agrees_with_the_root_path(cases):
     assert to_json == {name: TO_JSON_GOLDEN[name] for name in to_json}
 
 
+def test_gcd_split_multiplies_no_laurent_polys(monkeypatch):
+    # the sign and parity are read off g/P; P (g/P)* is never multiplied out
+    inputs = [
+        (LaurentPoly.one(u.field) + u.f, u.g)
+        for name, u in (*a1_cases(), *deep_cases(), *q_cases())
+        if name.startswith(("a1/fp:7/", "deep/fp:7/", "q/")) and not u.g.is_zero
+    ]
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    for one_plus_f, g in inputs:
+        gcd_split(one_plus_f, g)
+    assert calls == []
+    assert len(inputs) >= 40
+
+
 def test_split_classifies_past_the_tower_bound():
     # at p = 1048573 the roots of 1+f and g often live above level 4, so the
     # root path refuses; the split never leaves the coefficients' level
