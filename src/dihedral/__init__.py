@@ -32,7 +32,7 @@ from .fields import (
     RootMultiset,
     make_field,
 )
-from .laurent import LaurentFactorization, LaurentPoly, UnitPart, star_of_prime
+from .laurent import LaurentFactorization, LaurentPoly, UnitPart
 from .algebra import (
     AlgebraElement,
     CanonicalInvolution,

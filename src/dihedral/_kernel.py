@@ -101,15 +101,17 @@ class Kernel:
             raise ZeroDivisionError("inverse of zero")
         return (beta * fp_inv(norm, p)) % p
 
+    def power_matrix(self, r, n):
+        # column j holds coords(r^j), j < n
+        cols = [self.e_one.copy()]
+        for _ in range(1, n):
+            cols.append(self.e_mul(cols[-1], r))
+        return np.stack(cols, axis=1)
+
     def frob_matrix(self):
         # column j holds (y^j)^p mod m; Frobenius is F_p-linear on coords
         if self._frob is None:
-            d = self.d
-            cols = [self.e_one.copy()]
-            yp = self.e_pow(self.gen_vec(), self.p)
-            for _ in range(1, d):
-                cols.append(self.e_mul(cols[-1], yp))
-            self._frob = np.stack(cols, axis=1)
+            self._frob = self.power_matrix(self.e_pow(self.gen_vec(), self.p), self.d)
         return self._frob
 
     def e_frob(self, a, times=1):

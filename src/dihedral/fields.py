@@ -14,13 +14,15 @@ lcm level.
 Elements are immutable and exact: residue vectors for the tower, Fraction for
 the rationals.  The polynomial protocol is three methods on coefficient
 sequences, lowest degree first, each with a nonzero last entry: roots(coeffs)
-returns a RootMultiset; poly_mul(a, b) multiplies, on plain int residues when
-every coefficient lies at level 1; poly_gcd(a, b) returns the monic gcd h and
-the quotient a / h, by the kernel's Euclid over the tower.  Root finding over
-the tower always succeeds up to the configured degree bound: one
-distinct-degree pass splits the monic input by factor degree and multiplicity,
-then equal-degree descent finds the roots.  The moduli are chosen by Ben-Or's
-irreducibility test, which runs on the same distinct-degree gcds.  Over the
+returns a RootMultiset; poly_mul(a, b) multiplies, by one loop on plain
+numbers (int residues when every coefficient lies at level 1, Fractions over
+the rationals) that reduces or wraps each output once; poly_gcd(a, b) returns
+the monic gcd h and the quotient a / h, by the kernel's Euclid over the tower.
+Root finding over the tower always succeeds up to the configured degree bound:
+one distinct-degree pass splits the monic input by factor degree and
+multiplicity, then equal-degree descent finds the roots.  The moduli are
+chosen by Ben-Or's irreducibility test, which runs on the same distinct-degree
+gcds; the binomials x^d + c are decided in closed form instead.  Over the
 rationals only rational roots are found and anything else raises
 NotSplitOverField.  Rational roots are found on integer coefficients:
 candidates r/s come from the divisors of the constant and leading
@@ -67,6 +69,19 @@ def _factorize(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def _binomial_is_irreducible(p, d, c):
+    """Whether x^d + c is irreducible over F_p, for d >= 2.
+
+    Lidl & Niederreiter, Finite Fields, Thm 3.75: x^d - a is irreducible iff
+    every prime r | d divides ord(a) but not (p - 1) / ord(a), that is, r
+    divides p - 1 and a is no r-th power, and p = 1 mod 4 when 4 | d.
+    """
+    a = -c % p
+    if not a or (d % 4 == 0 and p % 4 == 3):
+        return False
+    return all((p - 1) % r == 0 and pow(a, (p - 1) // r, p) != 1 for r in _prime_factors(d))
 
 
 def _is_prime(n):
@@ -162,6 +177,8 @@ class TowerElement:
 
     def __neg__(self):
         f = self.field
+        if self.level == 1:
+            return f._elt1((-self.coords[0]) % f.p)
         return f._elt(self.level, tuple((-c) % f.p for c in self.coords))
 
     def inv(self):
@@ -294,6 +311,8 @@ class PrimeClosureField:
         self.ensure_level(1)
         cache = min(p, 1024)
         self._small = [TowerElement(self, 1, (i,)) for i in range(cache)]
+        self.zero = self._elt1(0)
+        self.one = self._elt1(1)
 
     @property
     def characteristic(self):
@@ -315,14 +334,6 @@ class PrimeClosureField:
 
     def from_int(self, n):
         return self._elt1(n % self.p)
-
-    @property
-    def zero(self):
-        return self._elt1(0)
-
-    @property
-    def one(self):
-        return self._elt1(1)
 
     def element(self, level, coords):
         coords = tuple(int(c) % self.p for c in coords)
@@ -373,11 +384,17 @@ class PrimeClosureField:
 
     def _find_modulus(self, d):
         # lexicographically least monic irreducible of degree d, scanning the
-        # constant-first coordinate order
+        # constant-first coordinate order.  The first p candidates, the
+        # binomials x^d + c, are decided in closed form, and skipped at once
+        # when no c can pass: a Ben-Or test on each took minutes at large p
         if d == 1:
             return [0, 1]
         p = self.p
-        k = 0
+        if (d % 4 or p % 4 == 1) and all((p - 1) % r == 0 for r in _prime_factors(d)):
+            for c in range(1, p):
+                if _binomial_is_irreducible(p, d, c):
+                    return [c] + [0] * (d - 1) + [1]
+        k = p
         while True:
             coeffs = []
             n = k
@@ -411,7 +428,7 @@ class PrimeClosureField:
         roots = _split_roots(kern_d, W, 1, rng)
         roots.sort(key=lambda v: tuple(int(c) for c in v))
         for r in roots:
-            E = self._power_matrix(kern_d, r, e)
+            E = kern_d.power_matrix(r, e)
             ok = True
             for f in _divisors(e)[1:-1]:
                 lhs = (E @ self._emb[(f, e)]) % self.p
@@ -423,13 +440,6 @@ class PrimeClosureField:
         raise InternalInconsistency(
             f"no compatible embedding from level {e} into level {d}"
         )
-
-    @staticmethod
-    def _power_matrix(kern, r, e):
-        cols = [kern.e_one.copy()]
-        for _ in range(1, e):
-            cols.append(kern.e_mul(cols[-1], r))
-        return np.stack(cols, axis=1)
 
     def embed(self, x, target):
         """Image of x at a higher level; its level must divide the target."""
@@ -559,20 +569,19 @@ class PrimeClosureField:
     def poly_mul(self, a, b):
         """Coefficients of (sum a[i] x^i) * (sum b[j] x^j), lowest degree first.
 
-        At level 1 the residues are multiplied as ints and each output is
-        reduced and wrapped once; the list is _schoolbook's, zeros included.
+        At level 1 the residues go through _convolve and each output is
+        reduced and wrapped once; above it, zero entries are skipped.
         """
         if all(c.level == 1 for c in a) and all(c.level == 1 for c in b):
-            rb = [c.coords[0] for c in b]
-            out = [0] * (len(a) + len(rb) - 1)
-            for i, c in enumerate(a):
-                x = c.coords[0]
-                if x:
-                    for j, y in enumerate(rb):
-                        out[i + j] += x * y
             p, elt1 = self.p, self._elt1
-            return [elt1(s % p) for s in out]
-        return _schoolbook(self.zero, a, b)
+            return [elt1(s % p) for s in _convolve([c.coords[0] for c in a], [c.coords[0] for c in b])]
+        out = [self.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] = out[i + j] + x * y
+        return out
 
     def poly_gcd(self, a, b):
         """The monic gcd h of sum a[i] x^i and sum b[i] x^i, and the quotient a / h.
@@ -585,12 +594,18 @@ class PrimeClosureField:
         return self._coeff_list(level, H), self._coeff_list(level, kern.p_divmod(A, H)[0])
 
     def _lift(self, *seqs):
-        """The level the coefficients of seqs generate, its kernel, and each seq's rows there."""
-        level = lcm(*(c.level for seq in seqs for c in seq))
+        """The level the nonzero coefficients of seqs generate, its kernel, and each seq's rows there.
+
+        A zero may be stored at any level, so it neither raises the level nor
+        is embedded: it lifts as a zero row.
+        """
+        level = lcm(*(c.level for seq in seqs for c in seq if c))
         if level > self.max_level:
             raise LevelOverflow(f"coefficients need level {level} > bound {self.max_level}")
+        zero = (0,) * level
         return level, self._kernel(level), [
-            np.array([self.embed(c, level).coords for c in seq], dtype=np.int64) for seq in seqs
+            np.array([self.embed(c, level).coords if c else zero for c in seq], dtype=np.int64)
+            for seq in seqs
         ]
 
     def _coeff_list(self, level, A):
@@ -632,8 +647,8 @@ class RationalField:
         return x.value
 
     def poly_mul(self, a, b):
-        """Coefficients of (sum a[i] x^i) * (sum b[j] x^j), lowest degree first."""
-        return _schoolbook(self.zero, a, b)
+        """Coefficients of (sum a[i] x^i) * (sum b[j] x^j), lowest degree first, by _convolve."""
+        return [RationalElement(self, s) for s in _convolve([c.value for c in a], [c.value for c in b])]
 
     def poly_gcd(self, a, b):
         """The monic gcd h of sum a[i] x^i and sum b[i] x^i, and a / h, by Euclid on Fractions."""
@@ -676,15 +691,13 @@ class RationalField:
         return RootMultiset([(RationalElement(self, r), m) for r, m in found])
 
 
-def _schoolbook(zero, a, b):
-    """The product's coefficient list by the loop over all pairs, zero entries skipped."""
-    out = [zero] * (len(a) + len(b) - 1)
+def _convolve(a, b):
+    """The product of two coefficient lists of plain numbers (ints or Fractions), sums unreduced."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
 
 

@@ -282,15 +282,6 @@ class UnitPart:
         self.scalar = scalar
         self.exponent = exponent
 
-    def laurent(self):
-        return LaurentPoly(self.scalar.field, self.exponent, (self.scalar,))
-
-    def inverse(self):
-        return UnitPart(self.scalar.inv(), -self.exponent)
-
-    def __mul__(self, other):
-        return UnitPart(self.scalar * other.scalar, self.exponent + other.exponent)
-
     def __eq__(self, other):
         if not isinstance(other, UnitPart):
             return NotImplemented
@@ -359,10 +350,3 @@ def prime_product(field, roots):
     if not groups:
         return LaurentPoly.one(field)
     return reduce(mul, (compressed(reduce(mul, group)) for group in groups.values()))
-
-
-def star_of_prime(lam):
-    """(t - lam)^* = scalar * t^-1 * (t - lam^-1); returns (scalar, new root)."""
-    if lam.is_zero():
-        raise DivisionByZero("prime roots are nonzero")
-    return -lam, lam.inv()

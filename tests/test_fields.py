@@ -23,6 +23,7 @@ from dihedral.fields import (
     FieldSpec,
     PrimeClosureField,
     RootMultiset,
+    _binomial_is_irreducible,
     _divisors,
     _is_prime,
     _prime_factors,
@@ -178,6 +179,27 @@ def test_level_bound_enforced():
         assert a - b == a + (-b)
 
 
+def test_level_one_negation_returns_the_cached_residue(F7):
+    for n in range(7):
+        assert -F7.from_int(n) is F7._elt1((-n) % 7)
+
+
+def test_zero_coefficients_do_not_raise_the_lifted_level():
+    # x*(1 + t^2) whose t-coefficient is a zero stored at level 3: lifting by
+    # every stored level would ask for level 6, above the bound 4
+    F = make_field(FieldSpec.prime_closure(7, 4))
+    x = F.element(2, (3, 1))
+    y = F.element(3, (1, 2, 0))
+    p = LaurentPoly(F, 0, [x, y, x]) + LaurentPoly(F, 1, [-y])
+    assert str(p) == "[3,1]@2 + [3,1]@2*t^2"
+    assert p.coeffs[1].is_zero() and p.coeffs[1].level == 3
+    roots = F.roots(list(p.coeffs))
+    assert roots.degree() == 2 and all(r * r == -F.one for r, _ in roots)
+    h, quot = F.poly_gcd(list(p.coeffs), [F.one, F.zero, F.one])
+    assert (h, quot) == ([F.one, F.zero, F.one], [x])
+    assert p.factor_linear().primes == roots
+
+
 def test_sort_key_orders_elements(F7):
     rng = random.Random(8)
     xs = [F7.random_element(rng, rng.choice((1, 2, 3))) for _ in range(30)]
@@ -209,6 +231,36 @@ def test_moduli_are_the_first_irreducible_candidates():
                 unit = np.zeros((d, 1), dtype=np.int64)
                 unit[0, 0] = 1
                 assert np.array_equal(field._emb[(1, d)], unit), (p, d)
+
+
+def test_binomial_criterion_agrees_with_ben_or():
+    for p in (3, 5, 7, 11, 13):
+        field = make_field(FieldSpec.prime_closure(p))
+        for d in range(2, 13):
+            for c in range(p):
+                want = field._is_irreducible([c] + [0] * (d - 1) + [1])
+                assert _binomial_is_irreducible(p, d, c) == want, (p, d, c)
+
+
+def test_levels_without_irreducible_binomials_skip_the_binomials(monkeypatch):
+    # 5 and 11 do not divide p - 1, so no x^d + c is irreducible, and the
+    # search tests none of the p binomials
+    p = 1048573
+    tested = []
+    test = PrimeClosureField._is_irreducible
+
+    def recorded(field, coeffs):
+        tested.append(coeffs)
+        return test(field, coeffs)
+
+    monkeypatch.setattr(PrimeClosureField, "_is_irreducible", recorded)
+    field = make_field(FieldSpec.prime_closure(p, 11))
+    t0 = time.perf_counter()
+    for d in (5, 11):
+        field.ensure_level(d)
+        assert field._kernel(d).modulus.tolist() == tested[-1], d
+    assert time.perf_counter() - t0 < 60
+    assert all(any(coeffs[1:-1]) for coeffs in tested)
 
 
 # sha256 of every modulus and embedding matrix for p in (3, 5, 7, 101) at

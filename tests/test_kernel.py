@@ -53,6 +53,23 @@ def test_p_mul_matches_e_mul_at_largest_prime():
         assert prod[k].tolist() == (row * count % p).tolist()
 
 
+@pytest.mark.parametrize("p", [7, BIG_P])
+def test_power_matrix_and_frob_matrix(p):
+    field = make_field(FieldSpec.prime_closure(p, 6))
+    rng = random.Random(p)
+    for level in range(2, 7):
+        kern = field._kernel(level)
+        r = np.array([rng.randrange(p) for _ in range(level)], dtype=np.int64)
+        columns = kern.power_matrix(r, level + 2).T
+        want = kern.e_one
+        for j, col in enumerate(columns):
+            assert col.tolist() == want.tolist(), (level, j)
+            want = kern.e_mul(want, r)
+        for _ in range(5):
+            v = np.array([rng.randrange(p) for _ in range(level)], dtype=np.int64)
+            assert ((kern.frob_matrix() @ v) % p).tolist() == kern.e_pow(v, p).tolist(), level
+
+
 @pytest.mark.parametrize("p", [3, 7, 101])
 def test_e_inv_is_inverse(p):
     field = make_field(FieldSpec.prime_closure(p, 16))

@@ -8,7 +8,7 @@ import pytest
 
 from dihedral.errors import DivisionByZero, NotAUnit, NotSplitOverField
 from dihedral.fields import FieldSpec, RootMultiset, make_field
-from dihedral.laurent import LaurentPoly, prime_product, star_of_prime
+from dihedral.laurent import LaurentPoly, prime_product
 
 from conftest import POWERS, repeated_product
 
@@ -72,9 +72,11 @@ def test_unit_part(F7):
     u5 = LaurentPoly.t_power(F7, -4, F7.from_int(5))
     up = u5.as_unit()
     assert up.scalar == F7.from_int(5) and up.exponent == -4
-    assert (up.inverse() * up).scalar == F7.one
-    assert (up.inverse() * up).exponent == 0
-    assert up.laurent() == u5
+    assert LaurentPoly.t_power(F7, up.exponent, up.scalar) == u5
+    inverse = LaurentPoly.t_power(F7, -up.exponent, up.scalar.inv())
+    assert inverse * u5 == LaurentPoly.one(F7)
+    product = (u5 * LaurentPoly.t_power(F7, 3, F7.from_int(4))).as_unit()
+    assert (product.scalar, product.exponent) == (F7.from_int(6), -1)
     with pytest.raises(NotAUnit):
         (LaurentPoly.t_power(F7, 1) + LaurentPoly.one(F7)).as_unit()
     with pytest.raises(NotAUnit):
@@ -121,12 +123,9 @@ def test_star_of_prime_identity(F7):
     t = LaurentPoly.t_power(F7, 1)
     for n in range(2, 7):
         lam = F7.from_int(n)
-        scal, root = star_of_prime(lam)
         lhs = (t - LaurentPoly.const(F7, lam)).star()
-        rhs = LaurentPoly.t_power(F7, -1, scal) * (t - LaurentPoly.const(F7, root))
+        rhs = LaurentPoly.t_power(F7, -1, -lam) * (t - LaurentPoly.const(F7, lam.inv()))
         assert lhs == rhs
-        assert root == lam.inv()
-        assert scal == -lam
 
 
 def test_factor_round_trips(F7):
