@@ -98,12 +98,13 @@ class AlgebraElement:
         return AlgebraElement(-self.f, -self.g)
 
     def __mul__(self, other):
+        """The product by the module docstring's rule; a half product with a zero factor is not formed."""
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         f1, g1, f2, g2 = self.f, self.g, other.f, other.g
         return AlgebraElement(
-            f1 * f2 + g1.star() * g2,
-            f1.star() * g2 + g1 * f2,
+            _sum_of_products(f1, f2, g1.star(), g2),
+            _sum_of_products(f1.star(), g2, g1, f2),
         )
 
     def scale(self, c):
@@ -172,6 +173,19 @@ class AlgebraElement:
             "g": self.g.to_json_terms(),
             "field": self.field.describe(),
         }
+
+
+def _sum_of_products(a, b, c, d):
+    """a*b + c*d, forming only the products whose two factors are nonzero.
+
+    A sum with a zero is the other operand, so this is the value the full
+    formula gives.
+    """
+    if a.is_zero or b.is_zero:
+        return LaurentPoly.zero(a.field) if c.is_zero or d.is_zero else c * d
+    if c.is_zero or d.is_zero:
+        return a * b
+    return a * b + c * d
 
 
 def to_involution(r):

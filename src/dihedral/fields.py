@@ -12,7 +12,8 @@ their canonical minimal-level forms) and arithmetic lifts both operands to the
 lcm level.
 
 Elements are immutable and exact: residue vectors for the tower, Fraction for
-the rationals.  The polynomial protocol is three methods on coefficient
+the rationals (a rational element holds the Fraction it is given, and converts
+anything else).  The polynomial protocol is three methods on coefficient
 sequences, lowest degree first, each with a nonzero last entry: roots(coeffs)
 returns a RootMultiset; poly_mul(a, b) multiplies, by one loop on plain
 numbers (int residues when every coefficient lies at level 1, Fractions over
@@ -224,7 +225,7 @@ class RationalElement:
 
     def __init__(self, field, value):
         self.field = field
-        self.value = Fraction(value)
+        self.value = value if type(value) is Fraction else Fraction(value)
 
     def is_zero(self):
         return self.value == 0

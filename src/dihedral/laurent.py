@@ -6,6 +6,11 @@ t -> t^-1 is the algebra's key involution.  Every nonzero element with a split
 body factors as unit * prod (t - lambda_i)^{m_i} with all lambda_i nonzero;
 units are exactly the single-term elements lambda * t^m.
 
+The public constructor trims zero ends, and so do sums and from_terms.  The
+results whose ends are known to be nonzero are built as they come, without a
+copy or an end scan: zero, one, star, shift, negation, scale by a nonzero
+scalar, and products (a product of nonzero ends over a field is nonzero).
+
 prime_product(field, roots) multiplies a root multiset back into
 prod (t - lambda)^m level by level: the roots at one tower level are
 multiplied together and their product is moved down to its minimal level
@@ -56,12 +61,21 @@ class LaurentPoly:
     # ---- constructors ----
 
     @classmethod
+    def _trimmed(cls, field, val, coeffs):
+        """The polynomial t^val * coeffs, from a tuple whose ends are nonzero (val 0 if empty)."""
+        self = object.__new__(cls)
+        self.field = field
+        self.val = val
+        self.coeffs = coeffs
+        return self
+
+    @classmethod
     def zero(cls, field):
-        return cls(field, 0, ())
+        return cls._trimmed(field, 0, ())
 
     @classmethod
     def one(cls, field):
-        return cls(field, 0, (field.one,))
+        return cls._trimmed(field, 0, (field.one,))
 
     @classmethod
     def const(cls, field, c):
@@ -144,7 +158,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPoly(self.field, self.val, [-c for c in self.coeffs])
+        return LaurentPoly._trimmed(self.field, self.val, tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other):
         """The product; by a one-term factor c*t^m it is a shift by m and a scale by c.
@@ -160,17 +174,21 @@ class LaurentPoly:
         if len(self.coeffs) == 1 or len(other.coeffs) == 1:
             mono, poly = (self, other) if len(self.coeffs) == 1 else (other, self)
             c, z = mono.coeffs[0], field.zero
-            return LaurentPoly(field, self.val + other.val, [a * c if a else z for a in poly.coeffs])
-        return LaurentPoly(field, self.val + other.val, field.poly_mul(self.coeffs, other.coeffs))
+            cs = tuple([a * c if a else z for a in poly.coeffs])
+        else:
+            cs = tuple(field.poly_mul(self.coeffs, other.coeffs))
+        return LaurentPoly._trimmed(field, self.val + other.val, cs)
 
     def scale(self, c):
-        return LaurentPoly(self.field, self.val, [a * c for a in self.coeffs])
+        if not c:
+            return LaurentPoly.zero(self.field)
+        return LaurentPoly._trimmed(self.field, self.val, tuple([a * c for a in self.coeffs]))
 
     def shift(self, m):
         """Multiply by t^m."""
         if self.is_zero:
             return self
-        return LaurentPoly(self.field, self.val + m, self.coeffs)
+        return LaurentPoly._trimmed(self.field, self.val + m, self.coeffs)
 
     def __pow__(self, n):
         if n < 0:
@@ -192,7 +210,7 @@ class LaurentPoly:
         """The involution t -> t^-1."""
         if self.is_zero:
             return self
-        return LaurentPoly(
+        return LaurentPoly._trimmed(
             self.field, -(self.val + len(self.coeffs) - 1), self.coeffs[::-1]
         )
 

@@ -280,3 +280,39 @@ def test_element_equality_and_json(F7):
     assert blob["f"] == [[1, "1"]]
     assert blob["g"] == [[1, "1"]]
     assert str(s * t + t) == "t + s*(t)"
+
+
+@pytest.mark.parametrize("field_name", ["F7", "Q"])
+def test_product_with_zero_halves_forms_no_zero_product(request, field_name, monkeypatch):
+    field = request.getfixturevalue(field_name)
+    rng = random.Random(12)
+    zero = LaurentPoly.zero(field)
+    pairs = []
+    for _ in range(40):
+        A, B = random_element(field, rng, 3), random_element(field, rng, 3)
+        # zero a half of either factor, or both halves, now and then
+        A = AlgebraElement(A.f if rng.random() < 0.6 else zero, A.g if rng.random() < 0.6 else zero)
+        B = AlgebraElement(B.f if rng.random() < 0.6 else zero, B.g if rng.random() < 0.6 else zero)
+        pairs.append((A, B))
+    for A, B in pairs:
+        prod = A * B
+        assert prod.f == A.f * B.f + A.g.star() * B.g
+        assert prod.g == A.f.star() * B.g + A.g * B.f
+
+    zero_operands = []
+    laurent_mul = LaurentPoly.__mul__
+
+    def counted(a, b):
+        if a.is_zero or b.is_zero:
+            zero_operands.append((a, b))
+        return laurent_mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    s = AlgebraElement.s(field)
+    three = AlgebraElement.from_int(field, 3)
+    for A, B in pairs:
+        for x in (A, B):
+            t_k = AlgebraElement(LaurentPoly.t_power(field, rng.randint(-4, 4)), zero)
+            products = (s * x, x * s, three * t_k, t_k * three, three * t_k * x)
+            assert products[0] == AlgebraElement(x.g, x.f)
+    assert zero_operands == []

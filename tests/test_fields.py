@@ -22,6 +22,7 @@ from dihedral.exprs import evaluate
 from dihedral.fields import (
     FieldSpec,
     PrimeClosureField,
+    RationalElement,
     RootMultiset,
     _binomial_is_irreducible,
     _divisors,
@@ -447,3 +448,11 @@ def test_level_conformance_small_scale():
             ms = field.roots(poly_coeffs(linear_product(field, chosen)))
             assert ms.degree() == 3
             assert ms == RootMultiset([(r, 1) for r in chosen]), lvl
+
+
+def test_rational_element_keeps_the_fraction_it_is_given(Q):
+    v = Fraction(-3, 4)
+    assert RationalElement(Q, v).value is v
+    for x in (RationalElement(Q, 5), Q.from_int(5), RationalElement(Q, v) * RationalElement(Q, 2)):
+        assert type(x.value) is Fraction
+    assert RationalElement(Q, 5).value == 5

@@ -261,3 +261,50 @@ def test_level_one_product_multiplies_residues(F7, element_ops):
     product = x * y
     assert (element_ops["mul"], element_ops["add"]) == (0, 0)
     assert printed(product) == printed(schoolbook(x, y))
+
+
+def trimmed_like(x, val, coeffs):
+    """Whether x stores what LaurentPoly(field, val, coeffs) stores: offset, values and levels."""
+    ref = LaurentPoly(x.field, val, coeffs)
+    return (
+        x.val == ref.val
+        and len(x.coeffs) == len(ref.coeffs)
+        and all(a == b and a.level == b.level for a, b in zip(x.coeffs, ref.coeffs))
+    )
+
+
+@pytest.mark.parametrize("field_name, level", [("Q", 1), ("F7", 1), ("F7", 2), ("F7", 3), ("F7", 4)])
+def test_results_built_untrimmed_match_the_trimming_constructor(request, field_name, level):
+    field = request.getfixturevalue(field_name)
+    rng = random.Random(31 + level)
+
+    def nonzero():
+        while True:
+            c = field.random_element(rng, level)
+            if c:
+                return c
+
+    def poly(n):
+        # nonzero ends at `level`; interior zeros stored at another level
+        coeffs = [nonzero() for _ in range(n)]
+        for i in range(1, n - 1):
+            if rng.random() < 0.4:
+                k = rng.choice([k for k in range(1, 5) if k != level]) if field_name == "F7" else 1
+                coeffs[i] = field.zero if k == 1 else field.element(k, (0,) * k)
+        return LaurentPoly(field, rng.randint(-4, 4), coeffs)
+
+    for _ in range(25):
+        x, y, m = poly(rng.randint(1, 6)), poly(rng.randint(2, 6)), poly(1)
+        c, z, k = m.coeffs[0], field.zero, rng.randint(-5, 5)
+        n = len(x.coeffs)
+        assert trimmed_like(x.star(), -(x.val + n - 1), x.coeffs[::-1])
+        assert trimmed_like(x.shift(k), x.val + k, x.coeffs)
+        assert trimmed_like(-x, x.val, [-a for a in x.coeffs])
+        assert trimmed_like(x.scale(c), x.val, [a * c for a in x.coeffs])
+        assert trimmed_like(x.scale(z), x.val, [a * z for a in x.coeffs])
+        for product in (m * x, x * m):
+            assert trimmed_like(product, x.val + m.val, [a * c if a else z for a in x.coeffs])
+        assert trimmed_like(x * y, x.val + y.val, field.poly_mul(x.coeffs, y.coeffs))
+        assert x * y == schoolbook(x, y)
+    assert trimmed_like(LaurentPoly.zero(field), 0, [field.zero])
+    assert trimmed_like(LaurentPoly.one(field), -1, [field.zero, field.one, field.zero])
