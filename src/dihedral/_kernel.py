@@ -6,10 +6,11 @@ polynomial over F_{p^d} is an (n+1, d) array whose row i is the coefficient
 of x^i; trailing zero rows are trimmed and the zero polynomial has 0 rows.
 
 Products pack both operands into one 1-D array with y-stride 2d-1 so a single
-np.convolve does the whole bivariate multiply, then the y-axis is folded mod m.
-For p < 2^20 the convolution sums stay below 2**63, but folding them unreduced
-multiplies by another residue: that is exact only for p < 2^10, so for larger
-p the sums are reduced mod p before every fold.  Everything here is exact.
+np.convolve does the whole bivariate multiply; fold then folds the y-axis mod
+m (and p_powmod's x-axis mod its modulus).  For p < 2^20 the convolution sums
+stay below 2**63, but folding multiplies them by another residue: exact only
+for p < 2^10, so fold reduces them mod p first for larger p.  long_division
+serves level-1 residues and Fractions; residues are reduced once, at the end.
 """
 
 import numpy as np
@@ -17,6 +18,19 @@ import numpy as np
 
 def fp_inv(a, p):
     return pow(int(a), p - 2, p)
+
+
+def long_division(a, b, digit):
+    """Quotient and untrimmed, unreduced remainder of lists a by b; digit(top) clears top."""
+    n = len(b) - 1
+    rem = list(a)
+    quot = [0] * max(len(rem) - n, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = digit(rem[k + n])
+        if c:
+            for i in range(n):
+                rem[k + i] -= c * b[i]
+    return quot, rem[:n]
 
 
 class Kernel:
@@ -29,7 +43,6 @@ class Kernel:
         self.d = len(modulus) - 1
         self.width = 2 * self.d - 1
         d = self.d
-        self.e_zero = np.zeros(d, dtype=np.int64)
         self.e_one = np.zeros(d, dtype=np.int64)
         self.e_one[0] = 1
         self.zero_poly = np.zeros((0, d), dtype=np.int64)
@@ -52,25 +65,19 @@ class Kernel:
 
     # ---- element ops: vectors of shape (d,) ----
 
-    def e_reduce_wide(self, c):
-        # c has length <= 2d-1
-        d = self.d
-        if len(c) <= d:
-            out = np.zeros(d, dtype=np.int64)
-            out[: len(c)] = c
-            return out % self.p
-        if self.p >= (1 << 10):
-            # pre-reduce so the fold below cannot overflow int64
+    def fold(self, c, mat):
+        # (first k entries + the rest @ mat) % p along c's last axis, k = mat's
+        # width; with mat = red it folds 2d-1 coefficients of y to d mod m
+        if self.p >= (1 << 10):  # so the fold's sums cannot overflow int64
             c = c % self.p
-        return (c[:d] + c[d:] @ self.red[: len(c) - d]) % self.p
+        k = mat.shape[1]
+        return (c[..., :k] + c[..., k:] @ mat) % self.p
 
     def e_mul(self, a, b):
-        return self.e_reduce_wide(np.convolve(a, b))
+        return self.fold(np.convolve(a, b), self.red)
 
     def e_pow(self, a, n):
         # left-to-right binary powering, as in p_powmod: no product with one
-        if n < 0:
-            return self.e_pow(self.e_inv(a), -n)
         if n == 0:
             return self.e_one.copy()
         base = a % self.p
@@ -164,10 +171,7 @@ class Kernel:
         n = len(A) + len(B) - 1
         # the convolution has n*W + W-1 entries; the tail past n*W is zero
         c2 = np.convolve(a.ravel(), b.ravel())[: n * W].reshape(n, W)
-        if self.p >= (1 << 10):
-            # pre-reduce so the fold below cannot overflow int64
-            c2 %= self.p
-        return self.trim((c2[:, :d] + c2[:, d:] @ self.red) % self.p)
+        return self.trim(self.fold(c2, self.red))
 
     def ypow(self):
         # ypow()[j] is the matrix of multiplication by y^j
@@ -196,19 +200,13 @@ class Kernel:
         p = self.p
         nq = len(A) - nb + 1
         if self.d == 1:
-            # schoolbook division on Python ints: at these sizes it beats a
-            # numpy call per quotient digit; a monic divisor needs no inverse
-            r, b = A[:, 0].tolist(), B[:, 0].tolist()
+            # on Python ints, which beats a numpy call per quotient digit here;
+            # the remainder stays below p + nq p^2 until its one reduction
+            b = B[:, 0].tolist()
             lead_inv = 1 if b[-1] == 1 else fp_inv(b[-1], p)
-            q = [0] * nq
-            for i in range(nq - 1, -1, -1):
-                c = r[i + nb - 1] * lead_inv % p
-                if c:
-                    q[i] = c
-                    for j in range(nb - 1):
-                        r[i + j] = (r[i + j] - c * b[j]) % p
+            q, r = long_division(A[:, 0].tolist(), b, lambda top: top * lead_inv % p)
             Q = np.array(q, dtype=np.int64).reshape(nq, 1)
-            R = np.array(r[: nb - 1], dtype=np.int64).reshape(nb - 1, 1)
+            R = np.array([c % p for c in r], dtype=np.int64).reshape(nb - 1, 1)
             return self.trim(Q), self.trim(R)
         R = A.copy()
         Q = np.zeros((nq, self.d), dtype=np.int64)
@@ -284,29 +282,25 @@ class Kernel:
         n = len(M) - 1
         if n <= 0:
             return self.zero_poly
-        p, d, W = self.p, self.d, self.width
+        d, W = self.d, self.width
         key = M.tobytes()
         cached = self._reduction
         if cached[0] != key:
             cached = self._reduction = (key, self.reduction_matrix(M))
         big = cached[1]
-        red = self.red
         base = np.zeros((n, W), dtype=np.int64)
         low = self.p_mod(A, M)
         base[: len(low), :d] = low
         base = base.ravel()
 
         def mulmod(a, b):
-            c = np.convolve(a, b)[: (2 * n - 1) * W].reshape(2 * n - 1, W)
-            if p >= (1 << 10):
-                c %= p  # keeps the folds below inside int64
+            c = np.convolve(a, b)[: (2 * n - 1) * W]
             if d == 1:
                 # no y-fold: root finding at level 1 runs this loop, and the
                 # general form's extra numpy calls cost it about a third
-                return (c[:n, 0] + c[n:, 0] @ big) % p
-            c = (c[:, :d] + c[:, d:] @ red) % p
+                return self.fold(c, big)
             out = np.zeros((n, W), dtype=np.int64)
-            out[:, :d] = (c[:n].ravel() + c[n:].ravel() @ big).reshape(n, d) % p
+            out[:, :d] = self.fold(self.fold(c.reshape(2 * n - 1, W), self.red).ravel(), big).reshape(n, d)
             return out.ravel()
 
         acc = base

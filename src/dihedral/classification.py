@@ -49,7 +49,7 @@ from functools import cached_property, partial
 from itertools import product as _cartesian
 from math import lcm
 
-from .algebra import AlgebraElement, CanonicalInvolution
+from .algebra import AlgebraElement, CanonicalInvolution, check_idempotent, to_involution
 from .errors import InternalInconsistency, LevelOverflow, NotInvolution
 from .fields import RootMultiset, root_key
 from .laurent import LaurentPoly, compressed, prime_product
@@ -411,8 +411,6 @@ def _root_details(u, fac_f, fac_g):
 
 def classify_idempotent(r):
     """Classify an idempotent through the involution 2r - 1."""
-    from .algebra import check_idempotent, to_involution
-
     check_idempotent(r)
     return classify(to_involution(r))
 

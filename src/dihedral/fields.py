@@ -15,10 +15,9 @@ Elements are immutable and exact: residue vectors for the tower, Fraction for
 the rationals (a rational element holds the Fraction it is given, and converts
 anything else).  The polynomial protocol is three methods on coefficient
 sequences, lowest degree first, each with a nonzero last entry: roots(coeffs)
-returns a RootMultiset; poly_mul(a, b) multiplies, by one loop on plain
-numbers (int residues when every coefficient lies at level 1, Fractions over
-the rationals) that reduces or wraps each output once; poly_gcd(a, b) returns
-the monic gcd h and the quotient a / h, by the kernel's Euclid over the tower.
+returns a RootMultiset; poly_mul(a, b) multiplies by one loop, on int residues
+at level 1, Fractions over the rationals and tower elements above level 1;
+poly_gcd(a, b) returns the monic gcd h and the quotient a / h, by Euclid.
 Root finding over the tower always succeeds up to the configured degree bound:
 one distinct-degree pass splits the monic input by factor degree and
 multiplicity, then equal-degree descent finds the roots.  The moduli are
@@ -41,7 +40,7 @@ from random import Random
 
 import numpy as np
 
-from ._kernel import Kernel
+from ._kernel import Kernel, long_division
 from .errors import (
     BadLevel,
     BadSpec,
@@ -568,21 +567,15 @@ class PrimeClosureField:
     # ---- polynomial product and gcd ----
 
     def poly_mul(self, a, b):
-        """Coefficients of (sum a[i] x^i) * (sum b[j] x^j), lowest degree first.
+        """Coefficients of (sum a[i] x^i) * (sum b[j] x^j), lowest degree first, by _convolve.
 
-        At level 1 the residues go through _convolve and each output is
-        reduced and wrapped once; above it, zero entries are skipped.
+        At level 1 on residues, each output reduced and wrapped once; above it
+        on the elements, where skipped zeros never lift a sum's level.
         """
         if all(c.level == 1 for c in a) and all(c.level == 1 for c in b):
             p, elt1 = self.p, self._elt1
             return [elt1(s % p) for s in _convolve([c.coords[0] for c in a], [c.coords[0] for c in b])]
-        out = [self.zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = out[i + j] + x * y
-        return out
+        return _convolve(a, b, self.zero)
 
     def poly_gcd(self, a, b):
         """The monic gcd h of sum a[i] x^i and sum b[i] x^i, and the quotient a / h.
@@ -692,13 +685,14 @@ class RationalField:
         return RootMultiset([(RationalElement(self, r), m) for r, m in found])
 
 
-def _convolve(a, b):
-    """The product of two coefficient lists of plain numbers (ints or Fractions), sums unreduced."""
-    out = [0] * (len(a) + len(b) - 1)
+def _convolve(a, b, zero=0):
+    """The product of lists of ints, Fractions or tower elements: unreduced sums from zero, zeros skipped."""
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] += x * y
+                if y:
+                    out[i + j] += x * y
     return out
 
 
@@ -707,15 +701,7 @@ def _poly_divmod(a, b):
 
     b's last entry must be nonzero; the remainder has no trailing zeros.
     """
-    n = len(b) - 1
-    rem = list(a)
-    quot = [0] * max(len(rem) - n, 0)
-    for k in range(len(quot) - 1, -1, -1):
-        c = quot[k] = rem[k + n] / b[-1]
-        if c:
-            for i in range(n):
-                rem[k + i] -= c * b[i]
-    rem = rem[:n]
+    quot, rem = long_division(a, b, lambda top: top / b[-1])
     while rem and not rem[-1]:
         rem.pop()
     return quot, rem

@@ -456,3 +456,36 @@ def test_rational_element_keeps_the_fraction_it_is_given(Q):
     for x in (RationalElement(Q, 5), Q.from_int(5), RationalElement(Q, v) * RationalElement(Q, 2)):
         assert type(x.value) is Fraction
     assert RationalElement(Q, 5).value == 5
+
+
+def element_schoolbook(field, a, b):
+    """The tower product as an element loop from field.zero, skipping zero entries."""
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    return out
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_tower_products_match_the_element_loop(level):
+    # nonzero entries at `level` and at level 1, zeros stored at levels 1-4:
+    # every output keeps the value and the .level of the element loop's
+    field = make_field(FieldSpec.prime_closure(7, 12))
+    rng = random.Random(level)
+
+    def entry():
+        k = rng.randint(1, 4)
+        roll = rng.random()
+        if roll < 0.3:
+            return field.element(k, (0,) * k)
+        return field.random_element(rng, level if roll < 0.8 else 1)
+
+    for _ in range(60):
+        a = [entry() for _ in range(rng.randint(1, 6))]
+        b = [entry() for _ in range(rng.randint(1, 6))]
+        got, want = field.poly_mul(a, b), element_schoolbook(field, a, b)
+        assert len(got) == len(want)
+        assert all(x == y and x.level == y.level for x, y in zip(got, want)), (a, b)

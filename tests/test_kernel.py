@@ -1,16 +1,18 @@
 """The numpy kernel against plain-integer references."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dihedral._kernel import Kernel
-from dihedral.fields import FieldSpec, make_field
+from dihedral.fields import FieldSpec, _poly_divmod, make_field
 
 from conftest import POWERS
 
 BIG_P = 1048573  # the largest prime the tower accepts (p < 2^20)
+FOLD_PRIMES = (7, 1021, 1031, BIG_P)  # 1021 and 1031 sit either side of the fold's 2^10 guard
 
 
 def ref_mul_mod(a, b, modulus, p):
@@ -82,7 +84,7 @@ def test_e_inv_is_inverse(p):
                 continue
             assert kern.e_mul(a, kern.e_inv(a)).tolist() == kern.e_one.tolist()
         with pytest.raises(ZeroDivisionError):
-            kern.e_inv(kern.e_zero)
+            kern.e_inv(np.zeros(level, dtype=np.int64))
 
 
 @pytest.mark.parametrize("level", [1, 2, 5])
@@ -96,7 +98,7 @@ def test_e_pow_is_the_repeated_product(level):
         if n in POWERS:
             assert kern.e_pow(a, n).tolist() == want.tolist(), n
         want = kern.e_mul(want, a)
-    assert kern.e_mul(kern.e_pow(a, -3), kern.e_pow(a, 3)).tolist() == kern.e_one.tolist()
+    assert kern.e_mul(kern.e_pow(kern.e_inv(a), 3), kern.e_pow(a, 3)).tolist() == kern.e_one.tolist()
 
 
 @pytest.mark.parametrize("level", [1, 2, 6])
@@ -171,3 +173,116 @@ def test_powering_alternating_moduli_matches_fresh_kernels(level):
         A, e, M = rand_poly(rng.randrange(1, 8)), rng.randrange(1, 400), moduli[which]
         got = kern.p_powmod(A, e, M)
         assert np.array_equal(got, Kernel(p, modulus).p_powmod(A, e, M)), i
+
+
+def ref_p_mul(A, B, modulus, p):
+    """Rows of A * B over F_p[y]/(modulus) with Python ints, trailing zero rows trimmed."""
+    d = len(modulus) - 1
+    out = [[0] * d for _ in range(len(A) + len(B) - 1)]
+    for i, a in enumerate(A):
+        for j, b in enumerate(B):
+            row = ref_mul_mod(a, b, modulus, p)
+            out[i + j] = [(x + y) % p for x, y in zip(out[i + j], row)]
+    while out and not any(out[-1]):
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("p", FOLD_PRIMES)
+@pytest.mark.parametrize("d", [1, 2, 8, 9])
+def test_e_mul_and_p_mul_match_plain_ints(p, d):
+    rng = random.Random(p * 100 + d)
+    # residues of p - 1 in the modulus and the operands push every fold to its bound
+    for modulus in ([p - 1] * d + [1], [rng.randrange(p) for _ in range(d)] + [1]):
+        kern = Kernel(p, modulus)
+        vecs = [[p - 1] * d] + [[rng.randrange(p) for _ in range(d)] for _ in range(6)]
+        for a in vecs:
+            for b in vecs[:3]:
+                got = kern.e_mul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+                assert got.tolist() == ref_mul_mod(a, b, modulus, p)
+        for n, m in ((1, 1), (3, 4), (5, 2)):
+            A = [vecs[0]] + [rng.choice(vecs) for _ in range(n - 1)]
+            B = [rng.choice(vecs) for _ in range(m - 1)] + [vecs[0]]
+            got = kern.p_mul(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64))
+            assert got.tolist() == ref_p_mul(A, B, modulus, p), (n, m)
+
+
+@pytest.mark.parametrize("p", FOLD_PRIMES)
+@pytest.mark.parametrize("level", [1, 2])
+def test_p_powmod_matches_repeated_products(p, level):
+    field = make_field(FieldSpec.prime_closure(p, 2))
+    kern = field._kernel(level)
+    rng = random.Random(p + level)
+
+    def rows(n):
+        # a monic polynomial with n random rows below its lead
+        return kern.p_from_rows([[rng.randrange(p) for _ in range(level)] for _ in range(n)] + [kern.e_one.tolist()])
+
+    for _ in range(4):
+        A, M, e = rows(rng.randrange(1, 7)), rows(rng.randrange(1, 5)), rng.randrange(1, 40)
+        want = kern.p_mod(A, M)
+        for _ in range(e - 1):
+            want = kern.p_mod(kern.p_mul(want, A), M)
+        assert np.array_equal(kern.p_powmod(A, e, M), want), e
+
+
+def residue_divmod(a, b, p):
+    """Long division of residue lists, low first, reducing after every subtraction."""
+    nb, r = len(b), list(a)
+    lead_inv = pow(b[-1], p - 2, p)
+    q = [0] * max(len(a) - nb + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + nb - 1] * lead_inv % p
+        if c:
+            q[i] = c
+            for j in range(nb - 1):
+                r[i + j] = (r[i + j] - c * b[j]) % p
+    return q, (r[: nb - 1] if q else r)
+
+
+def fraction_divmod(a, b):
+    """Long division of Fraction lists, low first; the remainder without trailing zeros."""
+    n, rem = len(b) - 1, list(a)
+    quot = [0] * max(len(rem) - n, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + n] / b[-1]
+        if c:
+            for i in range(n):
+                rem[k + i] -= c * b[i]
+    rem = rem[:n]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def trimmed(xs):
+    xs = list(xs)
+    while xs and not xs[-1]:
+        xs.pop()
+    return xs
+
+
+@pytest.mark.parametrize("p", [7, BIG_P])
+def test_residue_division_matches_the_reducing_loop(p):
+    kern = Kernel(p, [0, 1])
+    rng = random.Random(p)
+    for trial in range(60):
+        b = [rng.randrange(p) for _ in range(rng.randint(0, 5))] + [1 if trial % 2 else rng.randrange(1, p)]
+        # dividends shorter than the divisor included; p - 1 entries stress the unreduced sums
+        a = [p - 1 if trial % 3 == 0 else rng.randrange(p) for _ in range(rng.randint(0, 12))]
+        Q, R = kern.p_divmod(np.array(a, dtype=np.int64).reshape(-1, 1), np.array(b, dtype=np.int64).reshape(-1, 1))
+        q, r = residue_divmod(trimmed(a), b, p)
+        assert (Q[:, 0].tolist(), R[:, 0].tolist()) == (trimmed(q), trimmed(r)), (a, b)
+
+
+def test_fraction_division_matches_the_fraction_loop():
+    rng = random.Random(5)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    for trial in range(200):
+        lead = Fraction(1) if trial % 2 else Fraction(rng.choice((-7, -2, 3, 5)), rng.randint(1, 9))
+        b = [frac() for _ in range(rng.randint(0, 5))] + [lead]
+        a = [frac() for _ in range(rng.randint(0, 10))]
+        assert _poly_divmod(a, b) == fraction_divmod(a, b), (a, b)

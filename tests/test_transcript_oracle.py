@@ -9,20 +9,26 @@ its negative exponents.  Then u^2 = 1, det nu = 1 and nu * target = u * nu
 are polynomial identities.  The label is recomputed from the four characters
 chi(s) = a, chi(t) = b with a, b in {1, -1}: chi(u) = f(b) + a*g(b) is 1 for
 every character when u = 1, -1 for every one when u = -1, and
-eps * a * b^theta when u is conjugate to eps * s * t^theta.
+eps * a * b^theta when u is conjugate to eps * s * t^theta.  eps and theta
+are also read from sympy's gcd P = gcd(g, 1+f), with t-powers cleared: with
+dv = val(1+f) + val(g/P) + deg(g/P), theta = dv mod 2 and eps is
+lead(1+f) / lowest(g/P), as the classification module's docstring derives.
 
 Only level-1 and rational coefficients are read.  A witness printed at a
 tower level above 1 ("[..]@d") is out of scope.
 """
 
+import random
 import re
 from fractions import Fraction
 
 import pytest
 from test_golden import a1_cases, a3_a6_cases, deep_cases, q_cases
 
+from dihedral.algebra import random_involution
 from dihedral.classification import classify, transcript
 from dihedral.errors import NotSplitOverField
+from dihedral.fields import FieldSpec, make_field
 
 sympy = pytest.importorskip("sympy")
 
@@ -135,6 +141,22 @@ def label_from_characters(f, g, p):
     return None
 
 
+def split_signs(f, g, p, domain):
+    """(eps, theta) from P = gcd(g, 1+f) in sympy; eps is None when the lead ratio is no sign."""
+    one_plus_f = {e: c for e, c in {**f, 0: residue(f.get(0, 0) + 1, p)}.items() if c}
+
+    def body(poly):
+        """The valuation, and the polynomial poly / t^valuation."""
+        v = min(poly)
+        return v, sympy.Poly.from_dict({(e - v,): domain.convert(c) for e, c in poly.items()}, T, domain=domain)
+
+    (v_a, A), (v_g, G) = body(one_plus_f), body(g)
+    cofactor = G.exquo(sympy.gcd(G, A).monic())  # g/P, times t^-v_g
+    ratio = domain.convert(A.LC()) / domain.convert(cofactor.TC())
+    eps = 1 if ratio == domain.one else -1 if ratio == -domain.one else None
+    return eps, (v_a + v_g + cofactor.degree()) % 2
+
+
 def oracle_failures(field_flag, input_text, record):
     """The names of the checks the transcript fails; [] when it holds."""
     p = None if field_flag == "q" else int(field_flag.split(":")[1])
@@ -161,6 +183,8 @@ def oracle_failures(field_flag, input_text, record):
         failures.append("det_one")
     if matmul(V, S) != matmul(U, V):
         failures.append("conjugation")
+    if g and split_signs(f, g, p, domain) != (record["epsilon"], record["theta"]):
+        failures.append("split")
     return failures
 
 
@@ -175,6 +199,15 @@ def cases_with_transcripts():
                 continue
             out.append((name, u.field.describe(), str(u), transcript(u, result)))
     return out
+
+
+def a1_prefix(n):
+    """The first n inputs of each of A1's four seeded streams."""
+    for p in (3, 5, 7, 101):
+        field = make_field(FieldSpec.prime_closure(p))
+        rng = random.Random(20240800 + p)
+        for i in range(n):
+            yield f"a1/fp:{p}/{i}", random_involution(field, rng, degree_bound=3)[0]
 
 
 @pytest.fixture(scope="module")
@@ -225,8 +258,33 @@ def test_forged_transcripts_fail_the_oracle(golden_transcripts):
         wrong_theta = forged(record, theta=1 - theta, label=f"eps={eps:+d} theta={1 - theta}")
         for wrong in (wrong_eps, wrong_theta):
             failures = oracle_failures(flag, text, wrong)
-            assert "label" in failures and "conjugation" in failures, name
+            assert {"label", "conjugation", "split"} <= set(failures), name
         assert oracle_failures(flag, text, bumped_witness(record, p)), name
+        forgeries += 1
+    assert forgeries > 50
+
+
+def test_a1_prefix_passes_the_oracle():
+    checked = set()
+    for name, u in a1_prefix(50):
+        record = transcript(u, classify(u))
+        assert oracle_failures(u.field.describe(), str(u), record) == [], name
+        checked.add(record["label"])
+    assert len(checked) == 6
+
+
+def test_split_signs_alone_reject_a_forged_eps_or_theta(golden_transcripts):
+    forgeries = 0
+    for name, flag, text, record in golden_transcripts:
+        if record["epsilon"] is None:
+            continue
+        p = None if flag == "q" else int(flag.split(":")[1])
+        domain = sympy.QQ if p is None else sympy.GF(p)
+        f, g = parse_element(text, p)
+        eps, theta = record["epsilon"], record["theta"]
+        assert split_signs(f, g, p, domain) == (eps, theta), name
+        for forged_pair in ((-eps, theta), (eps, 1 - theta)):
+            assert split_signs(f, g, p, domain) != forged_pair, name
         forgeries += 1
     assert forgeries > 50
 
