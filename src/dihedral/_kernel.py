@@ -1,5 +1,9 @@
 """Dense polynomial arithmetic over F_{p^d}, numpy-backed.  Internal.
 
+The only module that imports numpy: fields.py passes coordinate tuples and
+keeps kernel values unopened.  Root finding, the choice of embeddings, their
+sections and both seeded RNGs (crc32 of the split rows' int64 bytes) are here.
+
 An element of F_{p^d} = F_p[y]/(m) is a length-d int64 vector of residues
 mod p (coefficients of the class mod the level's defining polynomial m).  A
 polynomial over F_{p^d} is an (n+1, d) array whose row i is the coefficient
@@ -13,11 +17,27 @@ for p < 2^10, so fold reduces them mod p first for larger p.  long_division
 serves level-1 residues and Fractions; residues are reduced once, at the end.
 """
 
+import zlib
+from random import Random
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .errors import InternalInconsistency
 
 
 def fp_inv(a, p):
     return pow(int(a), p - 2, p)
+
+
+def power(x, n, mul):
+    """x ** n for n >= 1 under mul, left to right: a square per bit below the top, times x per 1 bit."""
+    acc = x
+    for bit in bin(n)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, x)
+    return acc
 
 
 def long_division(a, b, digit):
@@ -47,21 +67,18 @@ class Kernel:
         self.e_one[0] = 1
         self.zero_poly = np.zeros((0, d), dtype=np.int64)
         self.one_poly = self.e_one.reshape(1, d).copy()
-        # red[i] = coords of y^(d+i) mod m, used to fold convolution overflow
-        self.red = np.zeros((max(d - 1, 0), d), dtype=np.int64)
-        if d > 1:
-            y_d = (-self.modulus[:-1]) % p
-            cur = y_d.copy()
-            for i in range(d - 1):
-                self.red[i] = cur
-                top = cur[-1]
-                shifted = np.zeros(d, dtype=np.int64)
-                shifted[1:] = cur[:-1]
-                cur = (shifted + top * y_d) % p
+        # red[i] = coords of y^(d+i) mod m, used to fold convolution overflow:
+        # the reduction matrix of m over F_p (empty at d = 1, so no recursion)
+        base = self if d == 1 else Kernel(p, [0, 1])
+        self.red = base.reduction_matrix(self.modulus.reshape(d + 1, 1))
+        # ypow[j] is the matrix of multiplication by y^j: its column k holds
+        # coords(y^(j+k)), rows j..j+d-1 of [I; red]
+        table = np.concatenate([np.eye(d, dtype=np.int64), self.red])
+        self.ypow = sliding_window_view(table, d, axis=0)
         self._frob = None
         self._frob_pows = [np.eye(d, dtype=np.int64)]
-        self._ypow = None
         self._reduction = (None, None)  # (modulus bytes, reduction_matrix)
+        self._sections = {}  # sublevel -> section of its embedding matrix
 
     # ---- element ops: vectors of shape (d,) ----
 
@@ -77,16 +94,9 @@ class Kernel:
         return self.fold(np.convolve(a, b), self.red)
 
     def e_pow(self, a, n):
-        # left-to-right binary powering, as in p_powmod: no product with one
         if n == 0:
             return self.e_one.copy()
-        base = a % self.p
-        acc = base
-        for bit in bin(n)[3:]:
-            acc = self.e_mul(acc, acc)
-            if bit == "1":
-                acc = self.e_mul(acc, base)
-        return acc
+        return power(np.asarray(a, dtype=np.int64) % self.p, n, self.e_mul)
 
     def e_inv(self, a):
         p = self.p
@@ -173,22 +183,9 @@ class Kernel:
         c2 = np.convolve(a.ravel(), b.ravel())[: n * W].reshape(n, W)
         return self.trim(self.fold(c2, self.red))
 
-    def ypow(self):
-        # ypow()[j] is the matrix of multiplication by y^j
-        if self._ypow is None:
-            d = self.d
-            Y = np.eye(d, k=-1, dtype=np.int64)
-            if d > 1:
-                Y[:, -1] = self.red[0]
-            mats = [np.eye(d, dtype=np.int64)]
-            for _ in range(1, d):
-                mats.append((Y @ mats[-1]) % self.p)
-            self._ypow = np.stack(mats)
-        return self._ypow
-
     def mul_rows(self, q):
         # row j is coords(q * y^j), so (v @ mul_rows(q)) % p == coords(q * v)
-        return (self.ypow() @ q) % self.p
+        return (self.ypow @ q) % self.p
 
     def p_divmod(self, A, B):
         if len(B) == 0:
@@ -263,7 +260,7 @@ class Kernel:
             return np.zeros((0, n * d), dtype=np.int64)
         # block (r, k) is row r with every coefficient times y^k; reduced in
         # place, since for large n and d this is the largest array built
-        big = np.stack(rows)[:, None] @ self.ypow().transpose(0, 2, 1)
+        big = np.stack(rows)[:, None] @ self.ypow.transpose(0, 2, 1)
         big %= self.p
         return big.reshape((n - 1) * d, n * d)
 
@@ -303,14 +300,173 @@ class Kernel:
             out[:, :d] = self.fold(self.fold(c.reshape(2 * n - 1, W), self.red).ravel(), big).reshape(n, d)
             return out.ravel()
 
-        acc = base
-        for bit in bin(e)[3:]:
-            acc = mulmod(acc, acc)
-            if bit == "1":
-                acc = mulmod(acc, base)
+        acc = power(base, e, mulmod)
         return self.trim(np.ascontiguousarray(acc.reshape(n, W)[:, :d]))
 
     def x_poly(self):
         out = np.zeros((2, self.d), dtype=np.int64)
         out[1] = self.e_one
         return out
+
+    # ---- called by fields.py with coordinate tuples and rows ----
+
+    def e_image(self, E, a):
+        # coords here of a sublevel element a, by that sublevel's embedding matrix
+        return (E @ a) % self.p
+
+    def e_fixed(self, a, times):
+        # whether Frobenius^times fixes a, that is, a lies in F_{p^times}
+        return np.array_equal(self.e_frob(a, times), a)
+
+    def e_restrict(self, E, a):
+        # coords of a at the sublevel with embedding matrix E, by its section
+        e = E.shape[1]
+        if e not in self._sections:
+            self._sections[e] = self.section(E)
+        b = (self._sections[e] @ a) % self.p
+        if not np.array_equal((E @ b) % self.p, a):
+            raise InternalInconsistency("canonical form does not round-trip")
+        return b
+
+    def section(self, E):
+        """A left inverse mod p of the embedding matrix E (d x e) of a sublevel, by Gaussian elimination."""
+        p, d = self.p, self.d
+        e = E.shape[1]
+        A = np.concatenate([E % p, np.eye(d, dtype=np.int64)], axis=1)
+        row = 0
+        for col in range(e):
+            piv = row
+            while piv < d and A[piv, col] == 0:
+                piv += 1
+            if piv == d:
+                raise InternalInconsistency("embedding matrix lost rank")
+            if piv != row:
+                A[[row, piv]] = A[[piv, row]]
+            A[row] = (A[row] * pow(int(A[row, col]), p - 2, p)) % p
+            for rr in range(d):
+                if rr != row and A[rr, col]:
+                    A[rr] = (A[rr] - A[rr, col] * A[row]) % p
+            row += 1
+        return A[:e, e:]
+
+    def embedding(self, sub, maps):
+        """The embedding matrix from sub's level: the power matrix E of the least root here of
+        sub's modulus with (E @ F) % p == G for every pair of fixed embeddings (F, G) in maps.
+        """
+        e, m_e = sub.d, sub.modulus
+        W = np.zeros((e + 1, self.d), dtype=np.int64)
+        W[:, 0] = m_e
+        rng = Random(zlib.crc32(m_e.tobytes()) ^ (self.p << 12) ^ (self.d << 2) ^ e)
+        roots = self.split_roots(W, 1, rng)
+        roots.sort(key=lambda v: v.tolist())
+        for r in roots:
+            E = self.power_matrix(r, e)
+            if all(np.array_equal((E @ F) % self.p, G) for F, G in maps):
+                return E
+        raise InternalInconsistency(
+            f"no compatible embedding from level {e} into level {self.d}"
+        )
+
+    def rows_gcd(self, a, b):
+        """Rows of the monic gcd h of the polynomials with rows a and b, and of a / h."""
+        A, B = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        H = self.p_gcd(A, B)
+        return H.tolist(), self.p_divmod(A, H)[0].tolist()
+
+    def roots(self, rows, extension):
+        """(level, coords, multiplicity) of each nonzero root of the polynomial with these rows.
+
+        rows: coordinates here, lowest degree first, the last nonzero.  The
+        roots of a degree-k distinct-degree part lie at level k * d;
+        extension(k) gives its kernel and embedding matrix (None for k = 1).
+        """
+        rows = np.array(rows, dtype=np.int64)
+        A = rows[rows.any(axis=1).argmax():]
+        if len(A) < 2:
+            return
+        A = self.p_monic(A)
+        rng = Random(zlib.crc32(rows.tobytes()) ^ (self.p << 8) ^ self.d)
+        for part, k, mult in self.distinct_degree_parts(A):
+            kern, E = extension(k)
+            W = part if E is None else (part @ E.T) % self.p
+            for r in kern.split_roots(W, self.d, rng):
+                yield kern.d, r, mult
+
+    def distinct_degree_parts(self, A):
+        """Monic A over this level -> [(part, k, multiplicity)].
+
+        part is the product of A's distinct degree-k irreducible factors of that
+        multiplicity.  g = gcd(x^(q^k) - x, h) is squarefree whatever h is, and
+        once every factor of degree below k is gone it holds each degree-k factor
+        once; dividing g out of h again and again peels the multiplicities.  What
+        is left of degree below 2(k+1) is one irreducible factor, counted once.
+        """
+        q = self.p**self.d
+        out = []
+        h = A
+        x = r = self.x_poly()
+        k = 0
+        while self.deg(h) > 2 * (k + 1) - 1:
+            k += 1
+            r = self.p_powmod(r, q, h)
+            g = self.p_gcd(self.p_sub(r, x), h)
+            mult = 0
+            while self.deg(g) > 0:
+                mult += 1
+                h = self.p_divmod(h, g)[0]
+                more = self.p_gcd(g, h)
+                part = self.p_divmod(g, more)[0]
+                if self.deg(part) > 0:
+                    out.append((part, k, mult))
+                g = more
+            r = self.p_mod(r, h)
+        if self.deg(h) > 0:
+            out.append((h, self.deg(h), 1))
+        return out
+
+    def split_roots(self, W, frob_step, rng):
+        """All roots of monic squarefree W that splits completely at this level.
+
+        W's coefficient values must be fixed by Frobenius^frob_step, so its root
+        set is closed under that power of Frobenius; whole orbits are divided out
+        as soon as one member is found.
+        """
+        roots = []
+        C = self.p_monic(self.trim(W))
+        while self.deg(C) > 0:
+            if self.deg(C) == 1:
+                roots.append((-C[0]) % self.p)
+                break
+            r = self.find_root(C, rng)
+            orbit = [r]
+            cur = self.e_frob(r, frob_step)
+            while not np.array_equal(cur, r):
+                orbit.append(cur)
+                cur = self.e_frob(cur, frob_step)
+            for rho in orbit:
+                C, rem = self.p_divmod(C, np.stack([(-rho) % self.p, self.e_one]))
+                if rem.any():
+                    raise InternalInconsistency("orbit member is not a root")
+            roots.extend(orbit)
+        return roots
+
+    def find_root(self, C, rng):
+        """One root of monic C (which splits into distinct linear factors)."""
+        p, d = self.p, self.d
+        exp = (p**d - 1) // 2
+        while self.deg(C) > 1:
+            U = np.array(
+                [[rng.randrange(p) for _ in range(d)] for _ in range(self.deg(C))],
+                dtype=np.int64,
+            )
+            U = self.trim(U)
+            if not len(U):
+                continue
+            # a root where U vanishes lands in neither half of this split
+            V = self.p_powmod(U, exp, C)
+            V = self.p_sub(V, self.one_poly)
+            D = self.p_gcd(V, C)
+            if 0 < self.deg(D) < self.deg(C):
+                other = self.p_divmod(C, D)[0]
+                C = D if self.deg(D) <= self.deg(other) else other
+        return (-C[0]) % p

@@ -139,15 +139,15 @@ class AlgebraElement:
         """Trace f + f* and determinant f f* - g g* of the matrix form."""
         return (
             self.f + self.f.star(),
-            self.f * self.f.star() - self.g * self.g.star(),
+            _sum_of_products(self.f, self.f.star(), -self.g, self.g.star()),
         )
 
     def is_involution(self):
         """Whether self * self == 1, via the closed condition on (f, g)."""
-        field = self.field
-        one = LaurentPoly.one(field)
-        cond1 = self.f * self.f + self.g.star() * self.g == one
-        cond2 = (self.g * (self.f + self.f.star())).is_zero
+        f, g = self.f, self.g
+        # g (f + f*) = 0 iff a factor is zero: K[t, t^-1] has no zero divisors
+        cond1 = _sum_of_products(f, f, g.star(), g) == LaurentPoly.one(self.field)
+        cond2 = g.is_zero or (f + f.star()).is_zero
         return cond1 and cond2
 
     def is_idempotent(self):

@@ -19,8 +19,10 @@ returns a RootMultiset; poly_mul(a, b) multiplies by one loop, on int residues
 at level 1, Fractions over the rationals and tower elements above level 1;
 poly_gcd(a, b) returns the monic gcd h and the quotient a / h, by Euclid.
 Root finding over the tower always succeeds up to the configured degree bound:
-one distinct-degree pass splits the monic input by factor degree and
-multiplicity, then equal-degree descent finds the roots.  The moduli are
+in Kernel.roots one distinct-degree pass splits the monic input, then
+equal-degree descent finds the roots.  _kernel.py owns the residue arrays,
+root finding, the embedding choice, sections and the seeds; this module
+passes it coordinate tuples and stores its matrices unopened.  The moduli are
 chosen by Ben-Or's irreducibility test, which runs on the same distinct-degree
 gcds; the binomials x^d + c are decided in closed form instead.  Over the
 rationals only rational roots are found and anything else raises
@@ -32,13 +34,9 @@ deflating, and once the degree is at most 2 the rest is closed form.
 """
 
 import threading
-import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, log10
-from random import Random
-
-import numpy as np
 
 from ._kernel import Kernel, long_division
 from .errors import (
@@ -47,7 +45,6 @@ from .errors import (
     BudgetExceeded,
     CharacteristicTwo,
     DivisionByZero,
-    InternalInconsistency,
     LevelOverflow,
     NotSplitOverField,
 )
@@ -140,9 +137,6 @@ class TowerElement:
     def __bool__(self):
         return any(self.coords)
 
-    def _vec(self):
-        return np.array(self.coords, dtype=np.int64)
-
     def __add__(self, other):
         if not isinstance(other, TowerElement):
             return NotImplemented
@@ -150,7 +144,7 @@ class TowerElement:
         if self.level == 1 and other.level == 1:
             return f._elt1((self.coords[0] + other.coords[0]) % f.p)
         a, b, lvl = f._align(self, other)
-        return f._elt(lvl, (a + b) % f.p)
+        return f._elt(lvl, tuple((x + y) % f.p for x, y in zip(a, b)))
 
     def __sub__(self, other):
         if not isinstance(other, TowerElement):
@@ -159,7 +153,7 @@ class TowerElement:
         if self.level == 1 and other.level == 1:
             return f._elt1((self.coords[0] - other.coords[0]) % f.p)
         a, b, lvl = f._align(self, other)
-        return f._elt(lvl, (a - b) % f.p)
+        return f._elt(lvl, tuple((x - y) % f.p for x, y in zip(a, b)))
 
     def __mul__(self, other):
         if not isinstance(other, TowerElement):
@@ -187,7 +181,7 @@ class TowerElement:
             raise DivisionByZero("inverse of zero")
         if self.level == 1:
             return f._elt1(pow(self.coords[0], f.p - 2, f.p))
-        return f._elt(self.level, f._kernel(self.level).e_inv(self._vec()))
+        return f._elt(self.level, f._kernel(self.level).e_inv(self.coords))
 
     def __pow__(self, n):
         f = self.field
@@ -195,7 +189,7 @@ class TowerElement:
             return self.inv() ** (-n)
         if self.level == 1:
             return f._elt1(pow(self.coords[0], n, f.p))
-        return f._elt(self.level, f._kernel(self.level).e_pow(self._vec(), n))
+        return f._elt(self.level, f._kernel(self.level).e_pow(self.coords, n))
 
     def __eq__(self, other):
         if not isinstance(other, TowerElement):
@@ -304,7 +298,6 @@ class PrimeClosureField:
         self.max_level = max_extension_degree
         self._levels = {}
         self._emb = {}
-        self._sections = {}
         self._canon = {}
         self._lock = threading.RLock()
         self._small = None
@@ -376,9 +369,12 @@ class PrimeClosureField:
             for f in _divisors(d)[:-1]:
                 self.ensure_level(f)
             kern = Kernel(self.p, self._find_modulus(d))
+            # each embedding must commute with those fixed so far: for every
+            # common sublevel g, embedding f -> d after g -> f is g -> d
             pending = {}
             for f in _divisors(d)[:-1]:
-                pending[(f, d)] = self._choose_embedding(f, d, kern, pending)
+                maps = [(self._emb[(g, f)], pending[(g, d)]) for g in _divisors(f)[1:-1]]
+                pending[(f, d)] = kern.embedding(self._levels[f], maps)
             self._levels[d] = kern
             self._emb.update(pending)
 
@@ -418,29 +414,6 @@ class PrimeClosureField:
                 return False
         return True
 
-    def _choose_embedding(self, e, d, kern_d, pending):
-        # all roots of modulus_e inside level d, then the least one compatible
-        # with the embeddings fixed so far
-        m_e = self._levels[e].modulus
-        W = np.zeros((e + 1, kern_d.d), dtype=np.int64)
-        W[:, 0] = m_e
-        rng = Random(zlib.crc32(m_e.tobytes()) ^ (self.p << 12) ^ (d << 2) ^ e)
-        roots = _split_roots(kern_d, W, 1, rng)
-        roots.sort(key=lambda v: tuple(int(c) for c in v))
-        for r in roots:
-            E = kern_d.power_matrix(r, e)
-            ok = True
-            for f in _divisors(e)[1:-1]:
-                lhs = (E @ self._emb[(f, e)]) % self.p
-                if not np.array_equal(lhs, pending[(f, d)]):
-                    ok = False
-                    break
-            if ok:
-                return E
-        raise InternalInconsistency(
-            f"no compatible embedding from level {e} into level {d}"
-        )
-
     def embed(self, x, target):
         """Image of x at a higher level; its level must divide the target."""
         if x.level == target:
@@ -449,7 +422,7 @@ class PrimeClosureField:
             raise BadLevel(f"level {x.level} does not divide {target}")
         self.ensure_level(target)
         E = self._emb[(x.level, target)]
-        return self._elt(target, (E @ x._vec()) % self.p)
+        return self._elt(target, self._levels[target].e_image(E, x.coords))
 
     def _align(self, a, b):
         lvl = lcm(a.level, b.level)
@@ -457,35 +430,12 @@ class PrimeClosureField:
             raise LevelOverflow(
                 f"levels {a.level} and {b.level} need level {lvl} > bound {self.max_level}"
             )
-        return self.embed(a, lvl)._vec(), self.embed(b, lvl)._vec(), lvl
+        return self.embed(a, lvl).coords, self.embed(b, lvl).coords, lvl
 
     def frobenius(self, x):
         """x ** p, computed by the cached linear map of x's level."""
         kern = self._kernel(x.level)
-        return self._elt(x.level, kern.e_frob(x._vec()))
-
-    def _section(self, e, d):
-        key = (e, d)
-        if key not in self._sections:
-            E = self._emb[key]
-            p = self.p
-            A = np.concatenate([E % p, np.eye(d, dtype=np.int64)], axis=1)
-            row = 0
-            for col in range(e):
-                piv = row
-                while piv < d and A[piv, col] == 0:
-                    piv += 1
-                if piv == d:
-                    raise InternalInconsistency("embedding matrix lost rank")
-                if piv != row:
-                    A[[row, piv]] = A[[piv, row]]
-                A[row] = (A[row] * pow(int(A[row, col]), p - 2, p)) % p
-                for rr in range(d):
-                    if rr != row and A[rr, col]:
-                        A[rr] = (A[rr] - A[rr, col] * A[row]) % p
-                row += 1
-            self._sections[key] = A[:e, e:]
-        return self._sections[key]
+        return self._elt(x.level, kern.e_frob(x.coords))
 
     def canonical(self, x):
         """The same value re-expressed at its minimal tower level."""
@@ -505,25 +455,11 @@ class PrimeClosureField:
     def _canonical_uncached(self, x):
         d = x.level
         kern = self._kernel(d)
-        v = x._vec()
-        e = d
-        shrunk = True
-        while shrunk:
-            shrunk = False
-            for q in _prime_factors(e):
-                cand = e // q
-                if np.array_equal(kern.e_frob(v, cand), v):
-                    e = cand
-                    shrunk = True
-                    break
+        # the least level whose Frobenius power fixes x divides every other one
+        e = next((e for e in _divisors(d)[:-1] if kern.e_fixed(x.coords, e)), d)
         if e == d:
             return x
-        S = self._section(e, d)
-        y = (S @ v) % self.p
-        E = self._emb[(e, d)]
-        if not np.array_equal((E @ y) % self.p, v):
-            raise InternalInconsistency("canonical form does not round-trip")
-        return self._elt(e, y)
+        return self._elt(e, kern.e_restrict(self._emb[(e, d)], x.coords))
 
     def sort_key(self, x):
         c = self.canonical(x)
@@ -541,27 +477,19 @@ class PrimeClosureField:
         """
         _check_coeffs(coeffs)
         base, kern, (rows,) = self._lift(coeffs)
-        nzero = next(i for i, row in enumerate(rows) if row.any())
+        nzero = next(i for i, c in enumerate(coeffs) if c)
         entries = [(self.zero, nzero)] if nzero else []
-        A = rows[nzero:]
-        if kern.deg(A) >= 1:
-            A = kern.p_monic(A)
-            seed = zlib.crc32(rows.tobytes()) ^ (self.p << 8) ^ base
-            rng = Random(seed)
-            for part, k, mult in _distinct_degree_parts(kern, A, self.p, base):
-                lvl = base * k
-                if lvl > self.max_level:
-                    raise LevelOverflow(
-                        f"a degree-{k} factor needs level {lvl} > bound {self.max_level}"
-                    )
-                kern_t = self._kernel(lvl)
-                if lvl == base:
-                    Wt = part
-                else:
-                    E = self._emb[(base, lvl)]
-                    Wt = (part @ E.T) % self.p
-                for r in _split_roots(kern_t, Wt, base, rng):
-                    entries.append((self._elt(lvl, r), mult))
+
+        def extension(k):
+            lvl = base * k
+            if lvl > self.max_level:
+                raise LevelOverflow(
+                    f"a degree-{k} factor needs level {lvl} > bound {self.max_level}"
+                )
+            return self._kernel(lvl), self._emb.get((base, lvl))
+
+        for lvl, r, mult in kern.roots(rows, extension):
+            entries.append((self._elt(lvl, r), mult))
         return RootMultiset(entries)
 
     # ---- polynomial product and gcd ----
@@ -584,8 +512,8 @@ class PrimeClosureField:
         at the level their coefficients generate; h and a / h are lists there.
         """
         level, kern, (A, B) = self._lift(a, b)
-        H = kern.p_gcd(A, B)
-        return self._coeff_list(level, H), self._coeff_list(level, kern.p_divmod(A, H)[0])
+        H, quot = kern.rows_gcd(A, B)
+        return self._coeff_list(level, H), self._coeff_list(level, quot)
 
     def _lift(self, *seqs):
         """The level the nonzero coefficients of seqs generate, its kernel, and each seq's rows there.
@@ -598,14 +526,13 @@ class PrimeClosureField:
             raise LevelOverflow(f"coefficients need level {level} > bound {self.max_level}")
         zero = (0,) * level
         return level, self._kernel(level), [
-            np.array([self.embed(c, level).coords if c else zero for c in seq], dtype=np.int64)
-            for seq in seqs
+            [self.embed(c, level).coords if c else zero for c in seq] for seq in seqs
         ]
 
-    def _coeff_list(self, level, A):
+    def _coeff_list(self, level, rows):
         if level == 1:
-            return [self._elt1(r) for r in A[:, 0].tolist()]
-        return [self._elt(level, row) for row in A]
+            return [self._elt1(r) for r, in rows]
+        return [self._elt(level, row) for row in rows]
 
 
 class RationalField:
@@ -751,91 +678,6 @@ def _exact_quotient(F, s, x):
             return None
         Q[k - 1] = q
     return Q if F[0] + x * q == 0 else None
-
-
-# ---- factoring machinery over the tower (kernel-level) ----
-
-
-def _distinct_degree_parts(kern, A, p, base):
-    """Monic A over F_{p^base} -> [(part, k, multiplicity)].
-
-    part is the product of A's distinct degree-k irreducible factors of that
-    multiplicity.  g = gcd(x^(q^k) - x, h) is squarefree whatever h is, and
-    once every factor of degree below k is gone it holds each degree-k factor
-    once; dividing g out of h again and again peels the multiplicities.  What
-    is left of degree below 2(k+1) is one irreducible factor, counted once.
-    """
-    q = p**base
-    out = []
-    h = A
-    x = r = kern.x_poly()
-    k = 0
-    while kern.deg(h) > 2 * (k + 1) - 1:
-        k += 1
-        r = kern.p_powmod(r, q, h)
-        g = kern.p_gcd(kern.p_sub(r, x), h)
-        mult = 0
-        while kern.deg(g) > 0:
-            mult += 1
-            h = kern.p_divmod(h, g)[0]
-            more = kern.p_gcd(g, h)
-            part = kern.p_divmod(g, more)[0]
-            if kern.deg(part) > 0:
-                out.append((part, k, mult))
-            g = more
-        r = kern.p_mod(r, h)
-    if kern.deg(h) > 0:
-        out.append((h, kern.deg(h), 1))
-    return out
-
-
-def _split_roots(kern, W, frob_step, rng):
-    """All roots of monic squarefree W that splits completely at kern's level.
-
-    W's coefficient values must be fixed by Frobenius^frob_step, so its root
-    set is closed under that power of Frobenius; whole orbits are divided out
-    as soon as one member is found.
-    """
-    roots = []
-    C = kern.p_monic(kern.trim(W))
-    while kern.deg(C) > 0:
-        if kern.deg(C) == 1:
-            roots.append((-C[0]) % kern.p)
-            break
-        r = _find_root(kern, C, rng)
-        orbit = [r]
-        cur = kern.e_frob(r, frob_step)
-        while not np.array_equal(cur, r):
-            orbit.append(cur)
-            cur = kern.e_frob(cur, frob_step)
-        for rho in orbit:
-            C, rem = kern.p_divmod(C, np.stack([(-rho) % kern.p, kern.e_one]))
-            if rem.any():
-                raise InternalInconsistency("orbit member is not a root")
-        roots.extend(orbit)
-    return roots
-
-
-def _find_root(kern, C, rng):
-    """One root of monic C (which splits into distinct linear factors)."""
-    p, d = kern.p, kern.d
-    exp = (p**d - 1) // 2
-    while kern.deg(C) > 1:
-        U = np.array(
-            [[rng.randrange(p) for _ in range(d)] for _ in range(kern.deg(C))],
-            dtype=np.int64,
-        )
-        U = kern.trim(U)
-        if not len(U):
-            continue
-        # a root where U vanishes lands in neither half of this split
-        V = kern.p_powmod(U, exp, C)
-        V = kern.p_sub(V, kern.one_poly)
-        D = kern.p_gcd(V, C)
-        if 0 < kern.deg(D) < kern.deg(C):
-            other = kern.p_divmod(C, D)[0]
-            C = D if kern.deg(D) <= kern.deg(other) else other
-    return (-C[0]) % p
 
 
 # ---- root multisets ----

@@ -21,23 +21,13 @@ result is built.
 from functools import partial, reduce
 from operator import mul
 
+from ._kernel import power as _power
 from .errors import DivisionByZero, NotAUnit
 
 
 def power(x, n):
-    """x ** n for n >= 0 (LaurentPoly or AlgebraElement), powering left to right.
-
-    From x, square per bit below the top one and multiply by x per 1 bit: no
-    product with one and no square past the top bit.  n == 0 gives one.
-    """
-    if n == 0:
-        return type(x).one(x.field)
-    acc = x
-    for bit in bin(n)[3:]:
-        acc = acc * acc
-        if bit == "1":
-            acc = acc * x
-    return acc
+    """x ** n for n >= 0 (LaurentPoly or AlgebraElement), by _kernel.power; n == 0 gives one."""
+    return _power(x, n, mul) if n else type(x).one(x.field)
 
 
 class LaurentPoly:

@@ -299,6 +299,18 @@ def test_product_with_zero_halves_forms_no_zero_product(request, field_name, mon
         assert prod.f == A.f * B.f + A.g.star() * B.g
         assert prod.g == A.f.star() * B.g + A.g * B.f
 
+    # is_involution and trace_det by their full formulas, s and -s included
+    s = AlgebraElement.s(field)
+    one = LaurentPoly.one(field)
+    checked = [s, -s] + [x for pair in pairs for x in pair]
+    want = [
+        (
+            x.f * x.f + x.g.star() * x.g == one and (x.g * (x.f + x.f.star())).is_zero,
+            (x.f + x.f.star(), x.f * x.f.star() - x.g * x.g.star()),
+        )
+        for x in checked
+    ]
+
     zero_operands = []
     laurent_mul = LaurentPoly.__mul__
 
@@ -308,7 +320,7 @@ def test_product_with_zero_halves_forms_no_zero_product(request, field_name, mon
         return laurent_mul(a, b)
 
     monkeypatch.setattr(LaurentPoly, "__mul__", counted)
-    s = AlgebraElement.s(field)
+    assert [(x.is_involution(), x.trace_det()) for x in checked] == want
     three = AlgebraElement.from_int(field, 3)
     for A, B in pairs:
         for x in (A, B):

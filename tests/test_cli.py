@@ -201,6 +201,19 @@ def test_random_involution_deterministic(capsys):
     assert u.is_involution()
 
 
+def test_degree_bound_above_the_budget_exits_3(capsys, monkeypatch):
+    assert cli.MAX_DEGREE_BOUND == 32
+    assert run(["random-involution", "--degree-bound", "32", "--seed", "3"]) == 0
+    capsys.readouterr()
+    # refused before anything is drawn
+    monkeypatch.setattr(cli, "random_involution", None)
+    monkeypatch.setattr(cli, "run_selftest", None)
+    for command in ("random-involution", "selftest"):
+        for field in ("fp:7", "q"):
+            assert run([command, "--degree-bound", "33", "--field", field]) == 3
+            assert "BudgetExceeded" in capsys.readouterr().err
+
+
 def test_selftest_runs_clean(capsys):
     assert run(["selftest", "--iterations", "2", "--seed", "1"]) == 0
     out = capsys.readouterr().out

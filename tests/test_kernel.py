@@ -1,12 +1,16 @@
 """The numpy kernel against plain-integer references."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dihedral
 from dihedral._kernel import Kernel
+from dihedral.errors import InternalInconsistency
 from dihedral.fields import FieldSpec, _poly_divmod, make_field
 
 from conftest import POWERS
@@ -286,3 +290,68 @@ def test_fraction_division_matches_the_fraction_loop():
         b = [frac() for _ in range(rng.randint(0, 5))] + [lead]
         a = [frac() for _ in range(rng.randint(0, 10))]
         assert _poly_divmod(a, b) == fraction_divmod(a, b), (a, b)
+
+
+def test_only_the_kernel_imports_numpy():
+    importers = set()
+    for path in Path(dihedral.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"_kernel.py"}
+
+
+def ref_red(modulus, p):
+    """red[i] = coords(y^(d+i) mod m) for i < d - 1, by repeated shifts."""
+    d = len(modulus) - 1
+    y_d = (-np.array(modulus[:-1], dtype=np.int64)) % p
+    red = np.zeros((max(d - 1, 0), d), dtype=np.int64)
+    cur = y_d.copy()
+    for i in range(d - 1):
+        red[i] = cur
+        shifted = np.zeros(d, dtype=np.int64)
+        shifted[1:] = cur[:-1]
+        cur = (shifted + cur[-1] * y_d) % p
+    return red
+
+
+def ref_ypow(red, d, p):
+    """ypow[j] = Y^j for the companion matrix Y of multiplication by y."""
+    Y = np.eye(d, k=-1, dtype=np.int64)
+    if d > 1:
+        Y[:, -1] = red[0]
+    mats = [np.eye(d, dtype=np.int64)]
+    for _ in range(1, d):
+        mats.append((Y @ mats[-1]) % p)
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("p", (3,) + FOLD_PRIMES)
+def test_tables_match_the_loops(p):
+    rng = random.Random(p)
+    for d in range(1, 9):
+        # p - 1 entries make every y^(d+i) mod m dense
+        for modulus in ([p - 1] * d + [1], [rng.randrange(p) for _ in range(d)] + [1]):
+            kern = Kernel(p, modulus)
+            red = ref_red(modulus, p)
+            assert kern.red.shape == red.shape and np.array_equal(kern.red, red), (d, modulus)
+            assert np.array_equal(kern.ypow, ref_ypow(red, d, p)), (d, modulus)
+
+
+def test_tower_map_checks_raise_internal_inconsistency():
+    field = make_field(FieldSpec.prime_closure(7, 4))
+    kern, E = field._kernel(4), field._emb[(2, 4)]
+    with pytest.raises(InternalInconsistency, match="^embedding matrix lost rank$"):
+        kern.section(np.zeros_like(E))
+    # y generates level 4, so it has no coordinates at level 2
+    with pytest.raises(InternalInconsistency, match="^canonical form does not round-trip$"):
+        kern.e_restrict(E, field.generator(4).coords)
+    unreachable = [(np.eye(2, dtype=np.int64), np.zeros((4, 2), dtype=np.int64))]
+    with pytest.raises(InternalInconsistency, match="^no compatible embedding from level 2 into level 4$"):
+        kern.embedding(field._kernel(2), unreachable)

@@ -1,6 +1,9 @@
-"""Print one sha256 over the outputs of a fixed seeded corpus, and the number of records.
+"""Print a sha256 over the outputs of a fixed seeded corpus, and the number of records.
 
     python tools/dump_outputs.py src
+
+The first line covers the classification corpus below, the second the tower
+maps.
 
 The argument is the `src` directory of a checkout, and the package is
 imported from there, so two checkouts print the same digest exactly when
@@ -19,6 +22,14 @@ zeros stored at any of those levels; above level 1 every second involution
 is conjugated by a unipotent unit whose coefficients lie at that level.  Then
 seeded involutions over F_101 and the rationals at degree bounds 3 and 6 with
 one or two simple units, and raw products over both.
+
+The tower maps: seeded elements x over F_3, F_5 and F_7 at levels 1-4 (tower
+bound 12) and over F_101 and F_1048573 at levels 1-2 (bound 8), each with
+`canonical`, `frobenius`, `embed` into every level it divides, `inv` and `**`,
+the canonical form of a lower-level element embedded at that level, and
+`field.roots(coeffs)` of seeded coefficient lists (a zero constant term
+included, a refusal by its type and message); then each field's `_emb`
+matrices.
 """
 
 import argparse
@@ -32,6 +43,7 @@ TOWER_BOUND = 12
 PER_LEVEL = 150  # involutions per small field and level
 PRODUCTS = 100  # raw product records per field and level
 SEEDED = 150  # involutions per field, degree bound and unit count
+MAPS = 40  # tower-map records per field and level
 
 
 def main():
@@ -39,11 +51,12 @@ def main():
     parser.add_argument("src", help="the src directory of the checkout to import dihedral from")
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
-    digest, count = hashlib.sha256(), 0
-    for record in records():
-        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
-        count += 1
-    print(digest.hexdigest(), count)
+    for corpus in (records(), tower_map_records()):
+        digest, count = hashlib.sha256(), 0
+        for record in corpus:
+            digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+            count += 1
+        print(digest.hexdigest(), count)
 
 
 def stored(poly):
@@ -164,6 +177,51 @@ def records():
             yield from tower_records(p, level)
     for flag_p in (101, None):
         yield from seeded_records(flag_p)
+
+
+def element(x):
+    return [repr(x), x.level]
+
+
+def map_record(field, rng, level):
+    """Maps of one seeded nonzero element x at `level`, and the roots of one seeded polynomial there."""
+    from dihedral import DihedralError
+
+    x = field.random_element(rng, level)
+    while not x:
+        x = field.random_element(rng, level)
+    sub = field.random_element(rng, rng.choice([e for e in range(1, level + 1) if level % e == 0]))
+    n = rng.randint(1, 4)
+    coeffs = [field.random_element(rng, rng.randint(1, level)) for _ in range(n)] + [x]
+    if rng.random() < 0.3:
+        coeffs[0] = field.zero
+    out = {
+        "x": element(x),
+        "canonical": element(field.canonical(x)),
+        "sub_canonical": element(field.canonical(field.embed(sub, level))),
+        "frobenius": element(field.frobenius(x)),
+        "embed": [element(field.embed(x, k * level)) for k in range(2, field.max_level // level + 1)],
+        "inv": element(x.inv()),
+        "pow": [element(x**n) for n in (0, 1, 2, rng.randint(3, 10**6))],
+        "coeffs": [element(c) for c in coeffs],
+    }
+    try:
+        out["roots"] = [[element(r), m] for r, m in field.roots(coeffs)]
+    except DihedralError as exc:
+        out["roots"] = refusal(exc)
+    return out
+
+
+def tower_map_records():
+    from dihedral import FieldSpec, make_field
+
+    for p, levels, bound in ((3, 4, 12), (5, 4, 12), (7, 4, 12), (101, 2, 8), (1048573, 2, 8)):
+        field = make_field(FieldSpec.prime_closure(p, bound))
+        rng = random.Random(p)
+        for level in range(1, levels + 1):
+            for _ in range(MAPS):
+                yield map_record(field, rng, level)
+        yield {"p": p, "emb": [[list(key), field._emb[key].tolist()] for key in sorted(field._emb)]}
 
 
 if __name__ == "__main__":
