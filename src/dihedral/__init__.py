@@ -63,6 +63,19 @@ from .classification import (
     verify_witness,
 )
 from .exprs import eval_expression, evaluate, parse_expression
-from .selfcheck import run_selftest
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# selfcheck loads on first use (PEP 562), so that importing the package or
+# its CLI does not compile it
+_LAZY = ("run_selftest", "selfcheck")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_LAZY))
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not `from . import selfcheck`, which would look the name up here again
+    from importlib import import_module
+
+    selfcheck = import_module(".selfcheck", __name__)
+    return selfcheck if name == "selfcheck" else selfcheck.run_selftest

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .exprs import evaluate
 from .fields import FieldSpec, make_field
-from .selfcheck import run_selftest
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -241,6 +240,9 @@ def _cmd_random_involution(args, field):
 
 def _cmd_selftest(args, field):
     _check_degree_bound(args)
+    # imported here so that no other command compiles or loads selfcheck
+    from .selfcheck import run_selftest
+
     reports = run_selftest(field, args.seed, args.iterations, args.degree_bound)
     lines = []
     for rep in reports:
@@ -301,7 +303,3 @@ def main(argv=None):
         # anything else from the library that reaches the CLI is a bug
         print(f"dihedral: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

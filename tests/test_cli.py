@@ -1,7 +1,11 @@
 """Command line behavior: outputs, JSON mode, and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,12 +18,65 @@ from dihedral.fields import FieldSpec, make_field
 from dihedral.laurent import LaurentPoly
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(argv):
     """main() plus argparse's SystemExit, normalized to an exit code."""
     try:
         return cli.main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def run_python(args):
+    """A fresh interpreter importing dihedral from this checkout's src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["classify", "s*t^2", "--field", "fp:7", "--json"], 0),
+        (["classify", "s*(", "--field", "fp:7"], 1),
+        (["classify", "s + t", "--field", "fp:7"], 2),
+        (["classify", "(t^-1 - t)/2 + s*(1 + (t - t^-1)/2)", "--field", "q"], 3),
+    ],
+)
+def test_process_matches_main(capsys, argv, expected):
+    # the process entry adds only the heap freeze and sys.exit to cli.main
+    proc = run_python(["-m", "dihedral", *argv])
+    assert proc.returncode == expected
+    assert run(argv) == expected
+    captured = capsys.readouterr()
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr.decode() == captured.err
+
+
+def test_import_graph_in_a_fresh_interpreter():
+    code = (
+        "import json, sys\n"
+        "import dihedral.cli\n"
+        "loaded = {name: name in sys.modules for name in ('dihedral.selfcheck', 'numpy')}\n"
+        "loaded['attribute'] = dihedral.selfcheck is sys.modules['dihedral.selfcheck']\n"
+        "from dihedral import run_selftest\n"
+        "loaded['function'] = run_selftest is dihedral.selfcheck.run_selftest\n"
+        "loaded['exported'] = 'run_selftest' in dihedral.__all__ and all(\n"
+        "    hasattr(dihedral, name) for name in dihedral.__all__)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    # only selftest needs selfcheck, so the CLI's other commands never compile it
+    assert loaded["dihedral.selfcheck"] is False
+    # bench/run.py's measure_import_split reads numpy's import time from
+    # `import dihedral`; drop this once that reading tolerates no numpy
+    # (ROADMAP items 1 and 4)
+    assert loaded["numpy"] is True
+    assert loaded["attribute"] is loaded["function"] is loaded["exported"] is True
 
 
 def test_classify_worked_example_text(capsys):
@@ -207,7 +264,7 @@ def test_degree_bound_above_the_budget_exits_3(capsys, monkeypatch):
     capsys.readouterr()
     # refused before anything is drawn
     monkeypatch.setattr(cli, "random_involution", None)
-    monkeypatch.setattr(cli, "run_selftest", None)
+    monkeypatch.setattr("dihedral.selfcheck.run_selftest", None)
     for command in ("random-involution", "selftest"):
         for field in ("fp:7", "q"):
             assert run([command, "--degree-bound", "33", "--field", field]) == 3
