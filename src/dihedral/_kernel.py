@@ -1,8 +1,8 @@
 """Dense polynomial arithmetic over F_{p^d}, numpy-backed.  Internal.
 
 The only module that imports numpy: fields.py passes coordinate tuples and
-keeps kernel values unopened.  Root finding, the choice of embeddings, their
-sections and both seeded RNGs (crc32 of the split rows' int64 bytes) are here.
+keeps kernel values unopened.  Root finding, Ben-Or's test, embeddings and
+their sections, and both seeded RNGs (crc32 of split rows' int64 bytes) are here.
 
 An element of F_{p^d} = F_p[y]/(m) is a length-d int64 vector of residues
 mod p (coefficients of the class mod the level's defining polynomial m).  A
@@ -21,7 +21,6 @@ import zlib
 from random import Random
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InternalInconsistency
 
@@ -67,14 +66,18 @@ class Kernel:
         self.e_one[0] = 1
         self.zero_poly = np.zeros((0, d), dtype=np.int64)
         self.one_poly = self.e_one.reshape(1, d).copy()
-        # red[i] = coords of y^(d+i) mod m, used to fold convolution overflow:
-        # the reduction matrix of m over F_p (empty at d = 1, so no recursion)
-        base = self if d == 1 else Kernel(p, [0, 1])
-        self.red = base.reduction_matrix(self.modulus.reshape(d + 1, 1))
-        # ypow[j] is the matrix of multiplication by y^j: its column k holds
-        # coords(y^(j+k)), rows j..j+d-1 of [I; red]
-        table = np.concatenate([np.eye(d, dtype=np.int64), self.red])
-        self.ypow = sliding_window_view(table, d, axis=0)
+        # row j of table is coords(y^j), j < 2d-1: y times row j-1, its top
+        # coefficient folded back through y^d = -m[:-1]; then red[i] =
+        # coords(y^(d+i)) folds convolution overflow, and ypow[j], the matrix
+        # of multiplication by y^j, has column k = coords(y^(j+k))
+        neg = (-self.modulus[:-1] % p).tolist()
+        table = [self.e_one.tolist()]
+        while len(table) < 2 * d - 1:
+            *low, top = table[-1]
+            table.append([(a + top * b) % p for a, b in zip([0] + low, neg)])
+        table = np.array(table, dtype=np.int64)
+        self.red = table[d:]
+        self.ypow = table[np.add.outer(np.arange(d), np.arange(d))].transpose(0, 2, 1)
         self._frob = None
         self._frob_pows = [np.eye(d, dtype=np.int64)]
         self._reduction = (None, None)  # (modulus bytes, reduction_matrix)
@@ -237,6 +240,17 @@ class Kernel:
         while len(B):
             A, B = B, self.p_mod(A, B)
         return self.p_monic(A)
+
+    def is_irreducible(self, coeffs):
+        # Ben-Or, at level 1: monic M = sum coeffs[i] x^i is irreducible over F_p iff
+        # gcd(x^(p^k) - x, M), its factors of degree dividing k, is 1 for all k <= deg M / 2
+        M = self.p_from_rows([[c] for c in coeffs])
+        x = r = self.x_poly()
+        for _ in range((len(coeffs) - 1) // 2):
+            r = self.p_powmod(r, self.p, M)
+            if self.deg(self.p_gcd(self.p_sub(r, x), M)) != 0:
+                return False
+        return True
 
     def reduction_matrix(self, M):
         """Reduction mod monic M of degree n >= 1 as one matrix.

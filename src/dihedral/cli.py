@@ -42,8 +42,11 @@ EXIT_INTERNAL = 4
 # classification needs splitting, so those commands default to a prime field
 FP_DEFAULT_COMMANDS = {"classify", "random-involution", "selftest"}
 
-# largest --degree-bound of random-involution and selftest (0.4 s over q; 64 took 3.5 s)
+# largest --degree-bound of random-involution (0.4 s over q; 64 took 3.5 s)
 MAX_DEGREE_BOUND = 32
+# largest --degree-bound and --iterations of selftest (both at once: 20-32 s over q)
+SELFTEST_MAX_DEGREE_BOUND = 8
+SELFTEST_MAX_ITERATIONS = 200
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -102,14 +105,14 @@ def build_parser():
         type=_positive_int,
         default=20,
         metavar="N",
-        help="rounds per selftest suite (default 20)",
+        help="rounds per selftest suite (default 20, at most 200)",
     )
     common.add_argument(
         "--degree-bound",
         type=_positive_int,
         default=3,
         metavar="N",
-        help="degree bound for random Laurent parts (default 3, at most 32)",
+        help="degree bound for random Laurent parts (default 3, at most 32; 8 for selftest)",
     )
     common.add_argument(
         "--max-level",
@@ -221,13 +224,13 @@ def _cmd_char_table(args, field):
     return EXIT_OK
 
 
-def _check_degree_bound(args):
-    if args.degree_bound > MAX_DEGREE_BOUND:
-        raise BudgetExceeded(f"--degree-bound {args.degree_bound} exceeds {MAX_DEGREE_BOUND}")
+def _check_budget(flag, value, bound):
+    if value > bound:
+        raise BudgetExceeded(f"--{flag} {value} exceeds {bound}")
 
 
 def _cmd_random_involution(args, field):
-    _check_degree_bound(args)
+    _check_budget("degree-bound", args.degree_bound, MAX_DEGREE_BOUND)
     rng = random.Random(args.seed)
     u, label = random_involution(field, rng, args.degree_bound)
     _emit(
@@ -239,7 +242,8 @@ def _cmd_random_involution(args, field):
 
 
 def _cmd_selftest(args, field):
-    _check_degree_bound(args)
+    _check_budget("degree-bound", args.degree_bound, SELFTEST_MAX_DEGREE_BOUND)
+    _check_budget("iterations", args.iterations, SELFTEST_MAX_ITERATIONS)
     # imported here so that no other command compiles or loads selfcheck
     from .selfcheck import run_selftest
 

@@ -21,19 +21,19 @@ poly_gcd(a, b) returns the monic gcd h and the quotient a / h, by Euclid.
 Root finding over the tower always succeeds up to the configured degree bound:
 in Kernel.roots one distinct-degree pass splits the monic input, then
 equal-degree descent finds the roots.  _kernel.py owns the residue arrays,
-root finding, the embedding choice, sections and the seeds; this module
-passes it coordinate tuples and stores its matrices unopened.  The moduli are
-chosen by Ben-Or's irreducibility test, which runs on the same distinct-degree
-gcds; the binomials x^d + c are decided in closed form instead.  Over the
-rationals only rational roots are found and anything else raises
-NotSplitOverField.  Rational roots are found on integer coefficients:
-candidates r/s come from the divisors of the constant and leading
-coefficients; s | lead, r | const, (s - r) | F(1) and (s + r) | F(-1), all on
-the current cofactor, discard most; survivors are divided out exactly,
-deflating, and once the degree is at most 2 the rest is closed form.
+root finding, the embedding choice, sections, the seeds and Ben-Or's test,
+which picks the moduli on the same distinct-degree gcds; this module passes
+it coordinate tuples, stores its matrices unopened, and decides the binomials
+x^d + c in closed form.  A field caches as it goes and takes no lock: it must
+not be shared between threads, so build one per thread.  Over the rationals
+only rational roots are found and anything else raises NotSplitOverField.
+Rational roots are found on integer coefficients: candidates r/s come from the
+divisors of the constant and leading coefficients; s | lead, r | const,
+(s - r) | F(1) and (s + r) | F(-1), all on the current cofactor, discard
+most; survivors are divided out exactly, deflating, and once the degree is at
+most 2 the rest is closed form.
 """
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, log10
@@ -299,11 +299,8 @@ class PrimeClosureField:
         self._levels = {}
         self._emb = {}
         self._canon = {}
-        self._lock = threading.RLock()
-        self._small = None
+        self._small = [TowerElement(self, 1, (i,)) for i in range(min(p, 1024))]
         self.ensure_level(1)
-        cache = min(p, 1024)
-        self._small = [TowerElement(self, 1, (i,)) for i in range(cache)]
         self.zero = self._elt1(0)
         self.one = self._elt1(1)
 
@@ -317,9 +314,8 @@ class PrimeClosureField:
     # ---- element constructors ----
 
     def _elt1(self, r):
-        small = self._small
-        if small is not None and r < len(small):
-            return small[r]
+        if r < len(self._small):
+            return self._small[r]
         return TowerElement(self, 1, (int(r),))
 
     def _elt(self, level, coords):
@@ -363,20 +359,17 @@ class PrimeClosureField:
             raise BadLevel(f"level must be a positive integer, got {d!r}")
         if d > self.max_level:
             raise LevelOverflow(f"level {d} exceeds bound {self.max_level}")
-        with self._lock:
-            if d in self._levels:
-                return
-            for f in _divisors(d)[:-1]:
-                self.ensure_level(f)
-            kern = Kernel(self.p, self._find_modulus(d))
-            # each embedding must commute with those fixed so far: for every
-            # common sublevel g, embedding f -> d after g -> f is g -> d
-            pending = {}
-            for f in _divisors(d)[:-1]:
-                maps = [(self._emb[(g, f)], pending[(g, d)]) for g in _divisors(f)[1:-1]]
-                pending[(f, d)] = kern.embedding(self._levels[f], maps)
-            self._levels[d] = kern
-            self._emb.update(pending)
+        for f in _divisors(d)[:-1]:
+            self.ensure_level(f)
+        kern = Kernel(self.p, self._find_modulus(d))
+        # each embedding must commute with those fixed so far: for every
+        # common sublevel g, embedding f -> d after g -> f is g -> d
+        pending = {}
+        for f in _divisors(d)[:-1]:
+            maps = [(self._emb[(g, f)], pending[(g, d)]) for g in _divisors(f)[1:-1]]
+            pending[(f, d)] = kern.embedding(self._levels[f], maps)
+        self._levels[d] = kern
+        self._emb.update(pending)
 
     def _find_modulus(self, d):
         # lexicographically least monic irreducible of degree d, scanning the
@@ -398,21 +391,9 @@ class PrimeClosureField:
                 coeffs.append(n % p)
                 n //= p
             coeffs.append(1)
-            if self._is_irreducible(coeffs):
+            if self._levels[1].is_irreducible(coeffs):
                 return coeffs
             k += 1
-
-    def _is_irreducible(self, coeffs):
-        # Ben-Or: monic M of degree d is irreducible iff gcd(x^(p^k) - x, M) = 1
-        # for every k <= d/2; a factor of least degree k shows up at that k
-        kern1 = self._levels[1]
-        M = kern1.p_from_rows([[c] for c in coeffs])
-        x = r = kern1.x_poly()
-        for _ in range((len(coeffs) - 1) // 2):
-            r = kern1.p_powmod(r, self.p, M)
-            if kern1.deg(kern1.p_gcd(kern1.p_sub(r, x), M)) != 0:
-                return False
-        return True
 
     def embed(self, x, target):
         """Image of x at a higher level; its level must divide the target."""

@@ -271,6 +271,16 @@ def test_degree_bound_above_the_budget_exits_3(capsys, monkeypatch):
             assert "BudgetExceeded" in capsys.readouterr().err
 
 
+def test_selftest_flags_above_their_budget_exit_3(capsys, monkeypatch):
+    assert (cli.SELFTEST_MAX_DEGREE_BOUND, cli.SELFTEST_MAX_ITERATIONS) == (8, 200)
+    # refused before any suite runs
+    monkeypatch.setattr("dihedral.selfcheck.run_selftest", None)
+    for flags in (["--degree-bound", "9"], ["--iterations", "201"]):
+        for field in ("fp:7", "q"):
+            assert run(["selftest", *flags, "--field", field]) == 3
+            assert "BudgetExceeded" in capsys.readouterr().err
+
+
 def test_selftest_runs_clean(capsys):
     assert run(["selftest", "--iterations", "2", "--seed", "1"]) == 0
     out = capsys.readouterr().out

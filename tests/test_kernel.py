@@ -157,7 +157,7 @@ def test_powering_builds_one_reduction_matrix_per_modulus(monkeypatch):
         return build(kern, M)
 
     monkeypatch.setattr(Kernel, "reduction_matrix", counted)
-    assert field._is_irreducible(coeffs)
+    assert field._kernel(1).is_irreducible(coeffs)
     assert built == [d]
 
 
@@ -209,6 +209,24 @@ def test_e_mul_and_p_mul_match_plain_ints(p, d):
             B = [rng.choice(vecs) for _ in range(m - 1)] + [vecs[0]]
             got = kern.p_mul(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64))
             assert got.tolist() == ref_p_mul(A, B, modulus, p), (n, m)
+
+
+@pytest.mark.parametrize("p", FOLD_PRIMES)
+def test_tables_match_plain_ints(p):
+    # red and mul_rows at the moduli a field picks, levels 1..8
+    field = make_field(FieldSpec.prime_closure(p, 8))
+    rng = random.Random(p)
+    for d in range(1, 9):
+        kern = field._kernel(d)
+        modulus = kern.modulus.tolist()
+        y = [[int(i == j) for i in range(d)] for j in range(d)]  # y[j] = coords(y^j)
+        assert kern.red.shape == (d - 1, d), d
+        for i in range(d - 1):  # y^(d+i) = y^(d-1) * y^(i+1)
+            assert kern.red[i].tolist() == ref_mul_mod(y[d - 1], y[i + 1], modulus, p), (d, i)
+        for _ in range(3):
+            q = [rng.randrange(p) for _ in range(d)]
+            rows = kern.mul_rows(np.array(q, dtype=np.int64))
+            assert rows.tolist() == [ref_mul_mod(q, y[j], modulus, p) for j in range(d)], (d, q)
 
 
 @pytest.mark.parametrize("p", FOLD_PRIMES)
