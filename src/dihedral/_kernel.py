@@ -1,8 +1,9 @@
 """Dense polynomial arithmetic over F_{p^d}, numpy-backed.  Internal.
 
 The only module that imports numpy: fields.py passes coordinate tuples and
-keeps kernel values unopened.  Root finding, Ben-Or's test, embeddings and
-their sections, and both seeded RNGs (crc32 of split rows' int64 bytes) are here.
+keeps kernel values unopened.  Root finding, the distinct-degree loop that
+also tests the moduli, embeddings and their sections, and both seeded RNGs
+(crc32 of split rows' int64 bytes) are here.
 
 An element of F_{p^d} = F_p[y]/(m) is a length-d int64 vector of residues
 mod p (coefficients of the class mod the level's defining polynomial m).  A
@@ -81,7 +82,6 @@ class Kernel:
         self._frob = None
         self._frob_pows = [np.eye(d, dtype=np.int64)]
         self._reduction = (None, None)  # (modulus bytes, reduction_matrix)
-        self._sections = {}  # sublevel -> section of its embedding matrix
 
     # ---- element ops: vectors of shape (d,) ----
 
@@ -242,15 +242,10 @@ class Kernel:
         return self.p_monic(A)
 
     def is_irreducible(self, coeffs):
-        # Ben-Or, at level 1: monic M = sum coeffs[i] x^i is irreducible over F_p iff
-        # gcd(x^(p^k) - x, M), its factors of degree dividing k, is 1 for all k <= deg M / 2
+        # Ben-Or, at level 1: monic M = sum coeffs[i] x^i of positive degree is irreducible
+        # iff its first distinct-degree part, at the least degree of any factor, is M itself
         M = self.p_from_rows([[c] for c in coeffs])
-        x = r = self.x_poly()
-        for _ in range((len(coeffs) - 1) // 2):
-            r = self.p_powmod(r, self.p, M)
-            if self.deg(self.p_gcd(self.p_sub(r, x), M)) != 0:
-                return False
-        return True
+        return next(self.distinct_degree_parts(M))[1] == self.deg(M)
 
     def reduction_matrix(self, M):
         """Reduction mod monic M of degree n >= 1 as one matrix.
@@ -284,8 +279,8 @@ class Kernel:
         Residues stay n = deg M rows long and packed at y-stride 2d-1 for the
         whole loop, and every product is reduced mod M by one precomputed
         matrix, so the loop neither trims nor goes through p_mul.  The matrix
-        of the last modulus is kept: Ben-Or's test and the distinct-degree
-        loop power modulo one modulus several times in a row.
+        of the last modulus is kept: the distinct-degree loop powers modulo
+        one modulus several times in a row.
         """
         if e == 0:
             return self.one_poly.copy()
@@ -306,10 +301,6 @@ class Kernel:
 
         def mulmod(a, b):
             c = np.convolve(a, b)[: (2 * n - 1) * W]
-            if d == 1:
-                # no y-fold: root finding at level 1 runs this loop, and the
-                # general form's extra numpy calls cost it about a third
-                return self.fold(c, big)
             out = np.zeros((n, W), dtype=np.int64)
             out[:, :d] = self.fold(self.fold(c.reshape(2 * n - 1, W), self.red).ravel(), big).reshape(n, d)
             return out.ravel()
@@ -334,10 +325,7 @@ class Kernel:
 
     def e_restrict(self, E, a):
         # coords of a at the sublevel with embedding matrix E, by its section
-        e = E.shape[1]
-        if e not in self._sections:
-            self._sections[e] = self.section(E)
-        b = (self._sections[e] @ a) % self.p
+        b = (self.section(E) @ a) % self.p
         if not np.array_equal((E @ b) % self.p, a):
             raise InternalInconsistency("canonical form does not round-trip")
         return b
@@ -407,7 +395,7 @@ class Kernel:
                 yield kern.d, r, mult
 
     def distinct_degree_parts(self, A):
-        """Monic A over this level -> [(part, k, multiplicity)].
+        """Yield (part, k, multiplicity) for monic A over this level, in ascending k.
 
         part is the product of A's distinct degree-k irreducible factors of that
         multiplicity.  g = gcd(x^(q^k) - x, h) is squarefree whatever h is, and
@@ -416,7 +404,6 @@ class Kernel:
         is left of degree below 2(k+1) is one irreducible factor, counted once.
         """
         q = self.p**self.d
-        out = []
         h = A
         x = r = self.x_poly()
         k = 0
@@ -431,12 +418,10 @@ class Kernel:
                 more = self.p_gcd(g, h)
                 part = self.p_divmod(g, more)[0]
                 if self.deg(part) > 0:
-                    out.append((part, k, mult))
+                    yield part, k, mult
                 g = more
-            r = self.p_mod(r, h)
         if self.deg(h) > 0:
-            out.append((h, self.deg(h), 1))
-        return out
+            yield h, self.deg(h), 1
 
     def split_roots(self, W, frob_step, rng):
         """All roots of monic squarefree W that splits completely at this level.

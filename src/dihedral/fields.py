@@ -21,8 +21,8 @@ poly_gcd(a, b) returns the monic gcd h and the quotient a / h, by Euclid.
 Root finding over the tower always succeeds up to the configured degree bound:
 in Kernel.roots one distinct-degree pass splits the monic input, then
 equal-degree descent finds the roots.  _kernel.py owns the residue arrays,
-root finding, the embedding choice, sections, the seeds and Ben-Or's test,
-which picks the moduli on the same distinct-degree gcds; this module passes
+root finding, the embedding choice, sections, the seeds and the moduli's test,
+whether a candidate's first distinct-degree part is itself; this module passes
 it coordinate tuples, stores its matrices unopened, and decides the binomials
 x^d + c in closed form.  A field caches as it goes and takes no lock: it must
 not be shared between threads, so build one per thread.  Over the rationals

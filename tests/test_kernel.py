@@ -145,7 +145,7 @@ def test_p_monic_scales_by_the_inverse_lead(p):
 
 
 def test_powering_builds_one_reduction_matrix_per_modulus(monkeypatch):
-    # Ben-Or's loop powers modulo one irreducible candidate (d // 2 times)
+    # the distinct-degree loop powers modulo one irreducible candidate (d // 2 times)
     d = 6
     coeffs = make_field(FieldSpec.prime_closure(7))._kernel(d).modulus.tolist()
     field = make_field(FieldSpec.prime_closure(7))
@@ -159,6 +159,21 @@ def test_powering_builds_one_reduction_matrix_per_modulus(monkeypatch):
     monkeypatch.setattr(Kernel, "reduction_matrix", counted)
     assert field._kernel(1).is_irreducible(coeffs)
     assert built == [d]
+
+
+@pytest.mark.parametrize("p, top", [(3, 4), (5, 3), (7, 3)])
+def test_is_irreducible_matches_sympy_on_every_small_candidate(p, top):
+    # every monic candidate of degree 1..top, so also the squares of
+    # irreducibles, such as (x^2+1)^2 over F_3, and every candidate after the
+    # first irreducible, which the modulus scan never tests
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    kern = Kernel(p, [0, 1])
+    for d in range(1, top + 1):
+        for k in range(p**d):
+            cand = [k // p**i % p for i in range(d)] + [1]
+            want = sympy.Poly(cand[::-1], x, modulus=p).is_irreducible
+            assert kern.is_irreducible(cand) == want, (p, cand)
 
 
 @pytest.mark.parametrize("level", [1, 2])

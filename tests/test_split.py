@@ -244,17 +244,21 @@ def test_split_classifies_past_the_tower_bound():
     assert refused >= 20  # keeps the inputs doing what they are here for
 
 
-def level2_cases():
-    """Twelve involutions over F_7 bounded at level 2, whose coefficients need level 2."""
-    field = make_field(FieldSpec.prime_closure(7, 2))
-    rng = random.Random(4242)
+def level2_cases(p=7, d=2, n=12, seed=4242):
+    """n seeded involutions over F_p bounded at level d, with coefficients at level d.
+
+    Each is a canonical involution, cycling through the four eps, theta
+    classes, conjugated by a unipotent unit with level-d coefficients.
+    """
+    field = make_field(FieldSpec.prime_closure(p, d))
+    rng = random.Random(seed)
     e = to_idempotent(-AlgebraElement.s(field))
-    for i in range(12):
+    for i in range(n):
         x = AlgebraElement(
             LaurentPoly.from_terms(
-                field, {0: field.random_element(rng, 2), 1: field.random_element(rng, 2)}
+                field, {0: field.random_element(rng, d), 1: field.random_element(rng, d)}
             ),
-            LaurentPoly.from_terms(field, {-1: field.random_element(rng, 2)}),
+            LaurentPoly.from_terms(field, {-1: field.random_element(rng, d)}),
         )
         label = CanonicalInvolution.eps_theta(1 - 2 * (i % 2), (i // 2) % 2)
         yield conjugate(unipotent_unit(e, x), label.element(field)), label
