@@ -378,15 +378,14 @@ class Kernel:
     def roots(self, rows, extension):
         """(level, coords, multiplicity) of each nonzero root of the polynomial with these rows.
 
-        rows: coordinates here, lowest degree first, the last nonzero.  The
-        roots of a degree-k distinct-degree part lie at level k * d;
-        extension(k) gives its kernel and embedding matrix (None for k = 1).
+        rows: coordinates here, lowest degree first, the first and the last
+        nonzero.  The roots of a degree-k distinct-degree part lie at level
+        k * d; extension(k) gives its kernel and embedding matrix (None for k = 1).
         """
         rows = np.array(rows, dtype=np.int64)
-        A = rows[rows.any(axis=1).argmax():]
-        if len(A) < 2:
+        if len(rows) < 2:
             return
-        A = self.p_monic(A)
+        A = self.p_monic(rows)
         rng = Random(zlib.crc32(rows.tobytes()) ^ (self.p << 8) ^ self.d)
         for part, k, mult in self.distinct_degree_parts(A):
             kern, E = extension(k)

@@ -120,8 +120,6 @@ class AlgebraElement:
             return NotImplemented
         return self.f == other.f and self.g == other.g
 
-    __hash__ = None
-
     @property
     def is_zero(self):
         return self.f.is_zero and self.g.is_zero
@@ -201,7 +199,8 @@ def to_idempotent(u):
 
 
 def check_idempotent(r):
-    if not (r * r == r):
+    """NotIdempotent unless r^2 = r, tested as (2r - 1)^2 = 1 by is_idempotent."""
+    if not r.is_idempotent():
         raise NotIdempotent(f"{r} is not idempotent")
 
 
@@ -292,8 +291,7 @@ class CanonicalInvolution:
             return "1"
         if self.kind == "minus_one":
             return "-1"
-        sign = "+1" if self.eps == 1 else "-1"
-        return f"eps={sign} theta={self.theta}"
+        return f"eps={self.eps:+d} theta={self.theta}"
 
 
 @dataclass(frozen=True)
@@ -318,10 +316,7 @@ class Character:
         return u.f.eval(ab) + field.from_int(self.alpha) * u.g.eval(ab)
 
     def __str__(self):
-        def sgn(n):
-            return "+1" if n == 1 else "-1"
-
-        return f"chi({sgn(self.alpha)},{sgn(self.beta)})"
+        return f"chi({self.alpha:+d},{self.beta:+d})"
 
 
 def random_laurent(field, rng, degree_bound):
@@ -343,7 +338,7 @@ def random_element(field, rng, degree_bound=3):
 def _random_scalar_unit(field, rng):
     while True:
         c = field.random_element(rng)
-        if not c.is_zero():
+        if c:
             return c
 
 

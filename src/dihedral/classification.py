@@ -21,8 +21,10 @@ With X = P (g/P)* and dv = val(1+f) - val(X),
 
     theta = dv mod 2,   eps = lead(1+f) / lead(X),   g1 = eps t^((dv+theta)/2) P
 
-and g2 = g/g1.  No roots are found, so no tower level above the
-coefficients of u is built.
+and g2 = g/g1.  The roots lam lie in a splitting field L of g and 1+f, but
+Euclid's algorithm gives the same gcd in K[t] as in L[t], so the split lies
+over K even when 1+f has no root in K.  No roots are found, so no tower
+level above the coefficients of u is built.
 
 ClassificationResult.details holds the root-level account of the same
 split, computed on first access: 1+f and g are factored into linear primes,
@@ -131,13 +133,10 @@ def transcript(u, result):
     witness, and the outcome of every independent witness check into one
     JSON-ready dict.
     """
-    eps = theta = None
-    if result.label.kind == "eps":
-        eps, theta = result.label.eps, result.label.theta
     return {
         "label": str(result.label),
-        "epsilon": eps,
-        "theta": theta,
+        "epsilon": result.label.eps,
+        "theta": result.label.theta,
         "witness": {
             "f": result.witness.f.to_json_terms(),
             "g": result.witness.g.to_json_terms(),

@@ -247,14 +247,8 @@ def eval_expression(node, field):
         if node.den != 1:
             c = c * field.from_int(node.den).inv()
         return AlgebraElement.from_scalar(c)
-    if isinstance(node, Generator):
-        if node.name == "a":
-            return AlgebraElement.a(field)
-        if node.name == "b":
-            return AlgebraElement.b(field)
-        if node.name == "s":
-            return AlgebraElement.s(field)
-        return AlgebraElement.t(field)
+    if isinstance(node, Generator) and node.name in GENERATORS:
+        return getattr(AlgebraElement, node.name)(field)
     if isinstance(node, Neg):
         return -eval_expression(node.arg, field)
     if isinstance(node, Sum):

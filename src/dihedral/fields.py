@@ -13,25 +13,26 @@ lcm level.
 
 Elements are immutable and exact: residue vectors for the tower, Fraction for
 the rationals (a rational element holds the Fraction it is given, and converts
-anything else).  The polynomial protocol is three methods on coefficient
-sequences, lowest degree first, each with a nonzero last entry: roots(coeffs)
-returns a RootMultiset; poly_mul(a, b) multiplies by one loop, on int residues
-at level 1, Fractions over the rationals and tower elements above level 1;
-poly_gcd(a, b) returns the monic gcd h and the quotient a / h, by Euclid.
-Root finding over the tower always succeeds up to the configured degree bound:
-in Kernel.roots one distinct-degree pass splits the monic input, then
-equal-degree descent finds the roots.  _kernel.py owns the residue arrays,
-root finding, the embedding choice, sections, the seeds and the moduli's test,
-whether a candidate's first distinct-degree part is itself; this module passes
-it coordinate tuples, stores its matrices unopened, and decides the binomials
-x^d + c in closed form.  A field caches as it goes and takes no lock: it must
-not be shared between threads, so build one per thread.  Over the rationals
-only rational roots are found and anything else raises NotSplitOverField.
-Rational roots are found on integer coefficients: candidates r/s come from the
-divisors of the constant and leading coefficients; s | lead, r | const,
-(s - r) | F(1) and (s + r) | F(-1), all on the current cofactor, discard
-most; survivors are divided out exactly, deflating, and once the degree is at
-most 2 the rest is closed form.
+anything else).  Zero is tested by truthiness alone: an element is false
+exactly when it is zero, at whatever level it is stored.  The polynomial
+protocol is three methods on coefficient sequences, lowest degree first, each
+with a nonzero last entry: roots(coeffs) returns a RootMultiset; poly_mul(a, b)
+multiplies by one loop, on int residues at level 1, Fractions over the
+rationals and tower elements above level 1; poly_gcd(a, b) returns the monic
+gcd h and the quotient a / h, by Euclid.  Root finding over the tower always
+succeeds up to the configured degree bound: in Kernel.roots one distinct-degree
+pass splits the monic input, then equal-degree descent finds the roots.
+_kernel.py owns the residue arrays, root finding, the embedding choice,
+sections, the seeds and the moduli's test, whether a candidate's first
+distinct-degree part is itself; this module passes it coordinate tuples, stores
+its matrices unopened, and decides the binomials x^d + c in closed form.  A
+field caches as it goes and takes no lock: it must not be shared between
+threads, so build one per thread.  Over the rationals only rational roots are
+found and anything else raises NotSplitOverField.  Rational roots are found on
+integer coefficients: candidates r/s come from the divisors of the constant and
+leading coefficients; s | lead, r | const, (s - r) | F(1) and (s + r) | F(-1),
+all on the current cofactor, discard most; survivors are divided out exactly,
+deflating, and once the degree is at most 2 the rest is closed form.
 """
 
 from dataclasses import dataclass
@@ -121,7 +122,21 @@ def make_field(spec):
     raise BadSpec(f"unknown field kind {spec.kind!r}")
 
 
-class TowerElement:
+class _Scalar:
+    """The quotient and negative-power rules that both element classes share."""
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self * other.inv()
+
+    def __pow__(self, n):
+        return self.inv() ** -n if n < 0 else self._pow(n)
+
+
+class TowerElement(_Scalar):
     """An element of F_{p^level}, stored as its residue coordinate tuple."""
 
     __slots__ = ("field", "level", "coords")
@@ -130,9 +145,6 @@ class TowerElement:
         self.field = field
         self.level = level
         self.coords = coords
-
-    def is_zero(self):
-        return not any(self.coords)
 
     def __bool__(self):
         return any(self.coords)
@@ -164,11 +176,6 @@ class TowerElement:
         a, b, lvl = f._align(self, other)
         return f._elt(lvl, f._kernel(lvl).e_mul(a, b))
 
-    def __truediv__(self, other):
-        if not isinstance(other, TowerElement):
-            return NotImplemented
-        return self * other.inv()
-
     def __neg__(self):
         f = self.field
         if self.level == 1:
@@ -177,16 +184,14 @@ class TowerElement:
 
     def inv(self):
         f = self.field
-        if self.is_zero():
+        if not self:
             raise DivisionByZero("inverse of zero")
         if self.level == 1:
             return f._elt1(pow(self.coords[0], f.p - 2, f.p))
         return f._elt(self.level, f._kernel(self.level).e_inv(self.coords))
 
-    def __pow__(self, n):
+    def _pow(self, n):
         f = self.field
-        if n < 0:
-            return self.inv() ** (-n)
         if self.level == 1:
             return f._elt1(pow(self.coords[0], n, f.p))
         return f._elt(self.level, f._kernel(self.level).e_pow(self.coords, n))
@@ -202,15 +207,13 @@ class TowerElement:
         b = other.field.canonical(other)
         return a.level == b.level and a.coords == b.coords
 
-    __hash__ = None
-
     def __repr__(self):
         if self.level == 1:
             return str(self.coords[0])
         return "[" + ",".join(str(c) for c in self.coords) + "]@" + str(self.level)
 
 
-class RationalElement:
+class RationalElement(_Scalar):
     """Exact rational scalar."""
 
     __slots__ = ("field", "value")
@@ -220,11 +223,8 @@ class RationalElement:
         self.field = field
         self.value = value if type(value) is Fraction else Fraction(value)
 
-    def is_zero(self):
-        return self.value == 0
-
     def __bool__(self):
-        return self.value != 0
+        return bool(self.value)
 
     def __add__(self, other):
         if not isinstance(other, RationalElement):
@@ -241,30 +241,21 @@ class RationalElement:
             return NotImplemented
         return RationalElement(self.field, self.value * other.value)
 
-    def __truediv__(self, other):
-        if not isinstance(other, RationalElement):
-            return NotImplemented
-        return self * other.inv()
-
     def __neg__(self):
         return RationalElement(self.field, -self.value)
 
     def inv(self):
-        if self.value == 0:
+        if not self:
             raise DivisionByZero("inverse of zero")
         return RationalElement(self.field, 1 / self.value)
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
+    def _pow(self, n):
         return RationalElement(self.field, self.value**n)
 
     def __eq__(self, other):
         if not isinstance(other, RationalElement):
             return NotImplemented
         return self.value == other.value
-
-    __hash__ = None
 
     def __repr__(self):
         try:
@@ -456,9 +447,8 @@ class PrimeClosureField:
         when a root would live beyond the degree bound; never
         NotSplitOverField (the closure splits everything).
         """
-        _check_coeffs(coeffs)
-        base, kern, (rows,) = self._lift(coeffs)
-        nzero = next(i for i, c in enumerate(coeffs) if c)
+        nzero = _leading_zeros(coeffs)
+        base, kern, (rows,) = self._lift(coeffs[nzero:])
         entries = [(self.zero, nzero)] if nzero else []
 
         def extension(k):
@@ -569,11 +559,10 @@ class RationalField:
         last entry is nonzero; otherwise ValueError.  NotSplitOverField if a
         factor without rational roots remains; it names that factor's degree.
         """
-        _check_coeffs(coeffs)
-        vals = [c.value for c in coeffs]
+        nzero = _leading_zeros(coeffs)
+        vals = [c.value for c in coeffs[nzero:]]
         den = lcm(*(v.denominator for v in vals))
-        nzero = next(i for i, v in enumerate(vals) if v)
-        F = [v.numerator * (den // v.denominator) for v in vals[nzero:]]
+        F = [v.numerator * (den // v.denominator) for v in vals]
         found = [(Fraction(0), nzero)] if nzero else []
         if len(F) > 3:
             F = _deflate_rational(F, found)
@@ -615,9 +604,11 @@ def _poly_divmod(a, b):
     return quot, rem
 
 
-def _check_coeffs(coeffs):
-    if not coeffs or coeffs[-1].is_zero():
+def _leading_zeros(coeffs):
+    """How many zeros coeffs starts with; ValueError unless its last entry is nonzero."""
+    if not coeffs or not coeffs[-1]:
         raise ValueError("roots need coefficients with a nonzero last entry")
+    return next(i for i, c in enumerate(coeffs) if c)
 
 
 def _deflate_rational(F, found):
@@ -710,8 +701,6 @@ class RootMultiset:
         if not isinstance(other, RootMultiset):
             return NotImplemented
         return self._mult == other._mult
-
-    __hash__ = None
 
     def __repr__(self):
         return "{" + ", ".join(f"{r!r}: {m}" for r, m in self.entries) + "}"

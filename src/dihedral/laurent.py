@@ -36,10 +36,10 @@ class LaurentPoly:
     def __init__(self, field, val, coeffs):
         cs = list(coeffs)
         lead = 0
-        while lead < len(cs) and cs[lead].is_zero():
+        while lead < len(cs) and not cs[lead]:
             lead += 1
         cs = cs[lead:]
-        while cs and cs[-1].is_zero():
+        while cs and not cs[-1]:
             cs.pop()
         if cs:
             self.val = val + lead
@@ -116,7 +116,7 @@ class LaurentPoly:
 
     def terms(self):
         for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
+            if c:
                 yield self.val + i, c
 
     def coefficient(self, e):
@@ -194,8 +194,6 @@ class LaurentPoly:
             return False
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
-    __hash__ = None
-
     def star(self):
         """The involution t -> t^-1."""
         if self.is_zero:
@@ -214,7 +212,7 @@ class LaurentPoly:
         if self.val:
             if self.val > 0:
                 return acc * x**self.val
-            if x.is_zero():
+            if not x:
                 raise DivisionByZero("negative exponent at zero")
             return acc * x.inv() ** (-self.val)
         return acc
@@ -285,7 +283,7 @@ class UnitPart:
     __slots__ = ("scalar", "exponent")
 
     def __init__(self, scalar, exponent):
-        if scalar.is_zero():
+        if not scalar:
             raise NotAUnit("unit scalar must be nonzero")
         self.scalar = scalar
         self.exponent = exponent
@@ -294,8 +292,6 @@ class UnitPart:
         if not isinstance(other, UnitPart):
             return NotImplemented
         return self.exponent == other.exponent and self.scalar == other.scalar
-
-    __hash__ = None
 
     def __repr__(self):
         return f"({self.scalar!r}, t^{self.exponent})"
@@ -328,8 +324,6 @@ class LaurentFactorization:
         if not isinstance(other, LaurentFactorization):
             return NotImplemented
         return self.unit == other.unit and self.primes == other.primes
-
-    __hash__ = None
 
     def __repr__(self):
         return f"LaurentFactorization(unit={self.unit!r}, primes={self.primes!r})"

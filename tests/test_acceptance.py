@@ -24,6 +24,7 @@ from dihedral.algebra import (
 )
 from dihedral.classification import (
     classify,
+    classify_idempotent,
     coefficient_level,
     enumerate_assignments,
     extract_eps_theta,
@@ -328,4 +329,51 @@ def test_a9_brute_force_oracle(F7):
         ok and confirmed >= 10 and st2_seen,
         f"{confirmed}/{len(corpus)} witnesses in restricted set, "
         "all found by exhaustive search; s*t^2 -> s via t^-1 included",
+    )
+
+
+def test_a10_four_indecomposable_projectives(F7, Q):
+    # The paper's corollary (Berman and Buzasi): R has exactly four
+    # non-isomorphic indecomposable projectives eR.  With nu the witness for
+    # 2r - 1 and r0 = (1 + u0)/2, a = r nu = nu r0 and b = nu^-1 r = r0 nu^-1
+    # give ab = r and ba = r0, so x -> a x maps r0R onto rR.
+    chars = Character.all_four()
+
+    def pattern(r):
+        return "".join("1" if ch.of(r) else "0" for ch in chars)
+
+    ok = True
+    tallies = {}  # per field: held, refused, labels seen
+    for field in (F7, Q):
+        rng = random.Random(11)
+        held = refused = 0
+        seen = set()
+        for _ in range(60):
+            u, label = random_involution(field, rng)
+            r = to_idempotent(u)
+            try:
+                res = classify_idempotent(r)
+            except NotSplitOverField:
+                refused += 1
+                continue
+            nu, nu_inv = res.witness, invert(res.witness)
+            r0 = to_idempotent(res.label.element(field))
+            a, b = r * nu, nu_inv * r
+            ok = ok and res.label == label and a * b == r and b * a == r0
+            ok = ok and a == nu * r0 and b == r0 * nu_inv and pattern(r) == pattern(r0)
+            held += 1
+            seen.add(label)
+        tallies[field.describe()] = (held, refused, len(seen))
+    # chi(r) in {0, 1} is an invariant of rR; a sum of two nonzero orthogonal
+    # idempotents has at least four 1s, so the four non-central r0 are primitive
+    patterns = [pattern(to_idempotent(lab.element(F7))) for lab in CanonicalInvolution.all_six()]
+    non_central = patterns[2:]
+    ok = ok and patterns == ["1111", "0000", "1100", "0011", "1010", "0101"]
+    ok = ok and all(p.count("1") == 2 for p in non_central) and len(set(non_central)) == 4
+    ok = ok and tallies["fp:7"] == (60, 0, 6) and tallies["q"][0] >= 30 and tallies["q"][2] == 6
+    report(
+        "A10 four indecomposable projectives eR",
+        ok,
+        f"fp:7 {tallies['fp:7'][0]}/60 and q {tallies['q'][0]}/60 ({tallies['q'][1]} refused) "
+        "isomorphic to r0R via a = r nu, b = nu^-1 r; patterns 1100 0011 1010 0101",
     )

@@ -252,7 +252,7 @@ def test_character_vanishing_patterns(F7):
     chars = Character.all_four()
 
     def pattern(r):
-        return tuple(0 if ch.of(r).is_zero() else 1 for ch in chars)
+        return tuple(1 if ch.of(r) else 0 for ch in chars)
 
     assert pattern(e) == (0, 0, 1, 1)
     assert pattern(one - e) == (1, 1, 0, 0)

@@ -168,6 +168,16 @@ def test_generator_b(Q):
     assert evaluate("b*b", Q) == AlgebraElement.one(Q)
 
 
+def test_unknown_generator_name_is_not_a_syntax_node(Q):
+    # the parser makes only the names in GENERATORS; a hand-built node with
+    # any other name is refused rather than read as t
+    for name in ("x", "T", "st", ""):
+        with pytest.raises(TypeError, match="not a syntax node"):
+            eval_expression(Generator(name), Q)
+    for name in GENERATORS:
+        assert eval_expression(Generator(name), Q) == getattr(AlgebraElement, name)(Q)
+
+
 def test_negative_power_of_non_unit(Q):
     with pytest.raises(NonUnitPower):
         evaluate("(1+s)^-1", Q)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dihedral._kernel import Kernel
+from dihedral.algebra import AlgebraElement
 from dihedral.errors import (
     BadLevel,
     BadSpec,
@@ -24,13 +25,14 @@ from dihedral.fields import (
     FieldSpec,
     RationalElement,
     RootMultiset,
+    TowerElement,
     _binomial_is_irreducible,
     _divisors,
     _is_prime,
     _prime_factors,
     make_field,
 )
-from dihedral.laurent import LaurentPoly
+from dihedral.laurent import LaurentFactorization, LaurentPoly, UnitPart
 
 from conftest import POWERS, linear_product, poly_coeffs, repeated_product
 
@@ -54,7 +56,7 @@ def test_field_spec_guards():
 def test_from_int_wraps(F7):
     assert F7.from_int(9) == F7.from_int(2)
     assert F7.from_int(-1) == F7.from_int(6)
-    assert F7.from_int(7).is_zero()
+    assert not F7.from_int(7)
     assert F7.zero + F7.one == F7.one
 
 
@@ -76,7 +78,7 @@ def test_ring_axioms_across_levels(F5):
         assert x * y == y * x
         assert x - x == F5.zero
         assert x * F5.one == x
-        if not x.is_zero():
+        if x:
             assert x * x.inv() == F5.one
             assert (x ** -2) * (x ** 2) == F5.one
         assert x ** 3 == x * x * x
@@ -193,7 +195,7 @@ def test_zero_coefficients_do_not_raise_the_lifted_level():
     y = F.element(3, (1, 2, 0))
     p = LaurentPoly(F, 0, [x, y, x]) + LaurentPoly(F, 1, [-y])
     assert str(p) == "[3,1]@2 + [3,1]@2*t^2"
-    assert p.coeffs[1].is_zero() and p.coeffs[1].level == 3
+    assert not p.coeffs[1] and p.coeffs[1].level == 3
     roots = F.roots(list(p.coeffs))
     assert roots.degree() == 2 and all(r * r == -F.one for r, _ in roots)
     h, quot = F.poly_gcd(list(p.coeffs), [F.one, F.zero, F.one])
@@ -494,3 +496,55 @@ def test_tower_products_match_the_element_loop(level):
         got, want = field.poly_mul(a, b), element_schoolbook(field, a, b)
         assert len(got) == len(want)
         assert all(x == y and x.level == y.level for x, y in zip(got, want)), (a, b)
+
+
+# ---- the element protocol ----
+
+
+def test_algebraic_values_are_unhashable(F7, Q):
+    # each class defines __eq__ and no __hash__, so Python sets __hash__ to None
+    for field, scalar_type in ((F7, TowerElement), (Q, RationalElement)):
+        poly = LaurentPoly.from_int_terms(field, {-1: 2, 0: -3, 1: 1})  # (t - 1)(t - 2) / t
+        fac = poly.factor_linear()
+        values = (field.from_int(3), poly, fac.unit, fac, fac.primes, AlgebraElement.t(field))
+        assert [type(v) for v in values] == [
+            scalar_type, LaurentPoly, UnitPart, LaurentFactorization, RootMultiset, AlgebraElement
+        ]
+        for v in values + (F7.element(2, (1, 0)),):
+            with pytest.raises(TypeError):
+                hash(v)
+
+
+def test_truthiness_is_the_zero_test(F7, Q):
+    rng = random.Random(24)
+    for level in (1, 2, 3, 4):
+        assert not F7.element(level, (0,) * level)  # a zero stored above level 1
+        for _ in range(30):
+            x = F7.random_element(rng, level)
+            assert bool(x) == (x != F7.zero) == any(x.coords)
+    for num in range(-4, 5):
+        x = Q.from_fraction(num, 3)
+        assert bool(x) == (x != Q.zero) == (num != 0)
+
+
+def test_division_by_another_type_raises(F7, Q):
+    x, y = F7.from_int(3), Q.from_int(3)
+    for a, b in ((x, y), (y, x), (x, 3), (y, 3), (x, Fraction(1, 3)), (y, Fraction(1, 3))):
+        with pytest.raises(TypeError):
+            a / b
+    assert x / F7.from_int(2) == x * F7.from_int(2).inv()
+    assert y / Q.from_int(2) == Q.from_fraction(3, 2)
+
+
+def test_negative_power_is_the_power_of_the_inverse(F7, Q):
+    rng = random.Random(25)
+    xs = [F7.random_element(rng, level) for level in (1, 2, 3) for _ in range(5)]
+    xs += [Q.from_fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(10)]
+    for x in xs:
+        if not x:
+            with pytest.raises(DivisionByZero):
+                x ** -1
+            continue
+        for n in (1, 2, 5):
+            assert x ** -n == x.inv() ** n
+            assert x ** -n * x ** n == x.field.one

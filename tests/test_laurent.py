@@ -208,7 +208,7 @@ def schoolbook(x, y):
     out = [field.zero] * (len(x.coeffs) + len(y.coeffs) - 1)
     for i, a in enumerate(x.coeffs):
         for j, b in enumerate(y.coeffs):
-            if not a.is_zero() and not b.is_zero():
+            if a and b:
                 out[i + j] = out[i + j] + a * b
     return LaurentPoly(field, x.val + y.val, out)
 
@@ -237,7 +237,7 @@ def test_one_term_product_is_the_schoolbook_product(request, field_name, poly_le
         x = LaurentPoly(field, rng.randint(-4, 4), coeffs)
         c = field.random_element(rng, mono_level)
         d = field.random_element(rng, poly_level)
-        if c.is_zero() or d.is_zero():
+        if not c or not d:
             continue
         m = LaurentPoly.t_power(field, rng.randint(-5, 5), c)
         coeffs = [field.random_element(rng, mono_level) for _ in range(rng.randint(2, 6))]
@@ -247,7 +247,7 @@ def test_one_term_product_is_the_schoolbook_product(request, field_name, poly_le
         r = field.from_int(rng.randint(2, 6))
         u = LaurentPoly(field, rng.randint(-4, 4), [d, d * r, d * r * r])
         w = LaurentPoly(field, rng.randint(-4, 4), [c, -(c * r)])
-        assert [e.is_zero() for e in (u * w).coeffs] == [False, True, True, False]
+        assert [not e for e in (u * w).coeffs] == [False, True, True, False]
         pairs = ((m, x), (x, m), (m, m), (zero, x), (x, zero), (zero, m), (x, y), (y, x), (u, w))
         for a, b in pairs:
             assert printed(a * b) == printed(schoolbook(a, b)), (a, b)

@@ -25,10 +25,18 @@ from fractions import Fraction
 import pytest
 from test_golden import a1_cases, a3_a6_cases, deep_cases, q_cases
 
-from dihedral.algebra import random_involution
-from dihedral.classification import classify, transcript
+from dihedral.algebra import CanonicalInvolution, random_involution
+from dihedral.classification import (
+    ClassificationResult,
+    _witness,
+    classify,
+    gcd_split,
+    transcript,
+    verify_witness,
+)
 from dihedral.errors import NotSplitOverField
 from dihedral.fields import FieldSpec, make_field
+from dihedral.laurent import LaurentPoly
 
 sympy = pytest.importorskip("sympy")
 
@@ -271,6 +279,31 @@ def test_a1_prefix_passes_the_oracle():
         assert oracle_failures(u.field.describe(), str(u), record) == [], name
         checked.add(record["label"])
     assert len(checked) == 6
+
+
+def test_q_refusals_have_a_witness_over_q():
+    # classify refuses these because 1+f or g has an irrational root, yet the
+    # gcd split needs no root in K (classification's docstring): its witness
+    # passes the checks of the library and of sympy, with the seeded label
+    Q = make_field(FieldSpec.rationals())
+    rng = random.Random(8)
+    refused = 0
+    for i in range(150):
+        u, label = random_involution(Q, rng, degree_bound=3)
+        try:
+            classify(u)
+            continue
+        except NotSplitOverField:
+            refused += 1
+        one_plus_f = LaurentPoly.one(Q) + u.f
+        eps, theta, g1, g2 = gcd_split(one_plus_f, u.g)
+        result = ClassificationResult(
+            CanonicalInvolution.eps_theta(eps, theta), _witness(one_plus_f, u.g, eps, theta, g1, g2)
+        )
+        assert result.label == label, i
+        assert all(verify_witness(u, result).values()), i
+        assert oracle_failures("q", str(u), transcript(u, result)) == [], i
+    assert refused >= 30  # keeps the inputs doing what they are here for
 
 
 def test_split_signs_alone_reject_a_forged_eps_or_theta(golden_transcripts):
